@@ -3,13 +3,15 @@
     glzi <experiment> [--config FILE] [--set key=value]... [--out DIR]
          [--workers N] [--svg]
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure or a
+crashed worker process.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from concurrent.futures import BrokenExecutor
 
 from .errors import ConfigError, GlziError
 from .scan import COMMANDS, EXPERIMENTS, load_config
@@ -46,7 +48,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         written = COMMANDS[args.experiment](cfg)
-    except (GlziError, OSError, FloatingPointError) as exc:
+    except (GlziError, BrokenExecutor, OSError, FloatingPointError) as exc:
         print(f"glzi: {args.experiment} failed: {exc}", file=sys.stderr)
         return 3
     for path in written:

@@ -34,8 +34,8 @@ class NoiseParams:
 
     def __post_init__(self):
         for name in ("gamma1", "gamma_phi", "kappa", "nbar_th"):
-            if getattr(self, name) < 0:
-                raise InvalidNoise(f"{name} must be >= 0, got {getattr(self, name)}")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise InvalidNoise(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
     @classmethod
     def from_times(cls, t1_ns: float, t2_ns: float,
@@ -49,10 +49,6 @@ class NoiseParams:
             raise InvalidNoise(f"T2={t2_ns} exceeds 2*T1={2 * t1_ns}: negative dephasing")
         return cls(gamma1=gamma1, gamma_phi=max(gamma_phi, 0.0),
                    kappa=kappa, nbar_th=nbar_th)
-
-    def qubit_only(self) -> "NoiseParams":
-        """Same qubit rates with the battery-loss channel removed."""
-        return NoiseParams(gamma1=self.gamma1, gamma_phi=self.gamma_phi)
 
 
 NOISELESS = NoiseParams()
@@ -103,9 +99,6 @@ class Liouvillian:
     dim: int
     l0: sp.csr_matrix
     l_delta: sp.csr_matrix
-
-    def apply(self, delta: float, y: np.ndarray) -> np.ndarray:
-        return self.l0 @ y + delta * (self.l_delta @ y)
 
 
 def assemble_lindblad(h0: np.ndarray, h_delta: np.ndarray,

@@ -14,7 +14,8 @@ bit-identical outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -139,6 +140,10 @@ class IntegratorConfig:
     max_steps: int = 200_000
 
     def __post_init__(self):
+        bad = [f.name for f in fields(self)
+               if getattr(self, f.name) is not None and not math.isfinite(getattr(self, f.name))]
+        if bad:
+            raise ValueError(f"non-finite integrator settings: {', '.join(bad)}")
         if self.rtol <= 0 or self.atol <= 0:
             raise ValueError("rtol and atol must be positive")
         if self.h_min > self.h_init:

@@ -12,9 +12,9 @@ the same mean gap and keeps only the qubit dissipators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -57,6 +57,9 @@ class ProtocolParams:
     nbar: float = 5.0
 
     def __post_init__(self):
+        bad = [f.name for f in fields(self) if not math.isfinite(getattr(self, f.name))]
+        if bad:
+            raise ValueError(f"non-finite protocol parameters: {', '.join(bad)}")
         if self.tau_p <= 0 or self.tau_c <= 0:
             raise ValueError("tau_p and tau_c must be positive")
         if 2.0 * self.tau_p > self.tau_c + _TIME_TOL:
@@ -154,7 +157,6 @@ def _evolve_protocol(
     p: ProtocolParams,
     cfg: IntegratorConfig,
     echo_joint: np.ndarray | None,
-    delta_fn: Callable[[float], float],
     n_tot_op: np.ndarray | None,
     record: bool,
 ) -> tuple[np.ndarray, float, list[SegmentRecord]]:
@@ -162,7 +164,7 @@ def _evolve_protocol(
     l0, ld = lv.l0, lv.l_delta
 
     def rhs(t, y):
-        return l0 @ y + delta_fn(t) * (ld @ y)
+        return l0 @ y + detuning(t, p) * (ld @ y)
 
     def audit(label: str, t: float, state: np.ndarray) -> SegmentRecord:
         n_tot = real_expectation(state, n_tot_op) if n_tot_op is not None else float("nan")
@@ -197,15 +199,14 @@ def run_quantum(
     cfg: IntegratorConfig = IntegratorConfig(),
     *,
     apply_echo: bool = True,
-    detuning_fn: Callable[[float], float] | None = None,
     record_segments: bool = False,
 ) -> RunResult:
     """One full quantum-battery cycle from |psi_B> (x) |g>.
 
     The scan drivers pass a battery whose phase is theta_geo - pi/2; the
     function itself accepts any battery so phase-covariance checks can
-    decouple battery and echo angles.  detuning_fn overrides the waveform
-    (e.g. frozen detuning for oracle comparisons).
+    decouple battery and echo angles.  simulate_constant_detuning is the
+    frozen-detuning variant for oracle comparisons.
     """
     n_cut = compute_cutoff(battery)
     ops, lv = _assembled(n_cut, p.g, noise)
@@ -217,10 +218,9 @@ def run_quantum(
     echo_joint = None
     if apply_echo:
         echo_joint = np.kron(np.eye(n_cut, dtype=complex), echo_unitary(p.phi_echo))
-    delta_fn = detuning_fn if detuning_fn is not None else (lambda t: detuning(t, p))
 
     rho, trace_defect, log = _evolve_protocol(
-        rho, lv, p, cfg, echo_joint, delta_fn, ops.n_tot, record_segments)
+        rho, lv, p, cfg, echo_joint, ops.n_tot, record_segments)
 
     obs_f = battery_observables(rho)
     diag = check_density(rho)
@@ -247,7 +247,6 @@ def run_classical(
     cfg: IntegratorConfig = IntegratorConfig(),
     *,
     apply_echo: bool = True,
-    detuning_fn: Callable[[float], float] | None = None,
     record_segments: bool = False,
 ) -> RunResult:
     """Two-level reference with a fixed transverse drive of the same mean gap.
@@ -256,22 +255,19 @@ def run_classical(
     with phi = theta_geo - pi/2, and only the qubit relaxation/dephasing
     channels.  Battery observables are reported as NaN sentinels.
     """
-    s_plus = np.zeros((2, 2), dtype=complex)
-    s_plus[1, 0] = 1.0
-    s_minus = s_plus.conj().T
-    s_z = np.diag([-1.0, 1.0]).astype(complex)
+    qubit = build_operators(HilbertSpec(1))
     phi = p.phi_batt
-    h0 = 0.5 * p.omega * (np.exp(-1j * phi) * s_plus + np.exp(1j * phi) * s_minus)
-    lv = assemble_lindblad(h0, 0.5 * s_z,
-                           [(noise.gamma1, s_minus), (noise.gamma_phi / 2.0, s_z)])
+    h0 = 0.5 * p.omega * (np.exp(-1j * phi) * qubit.sigma_plus
+                          + np.exp(1j * phi) * qubit.sigma_minus)
+    lv = assemble_lindblad(h0, 0.5 * qubit.sigma_z, [(noise.gamma1, qubit.sigma_minus),
+                                                      (noise.gamma_phi / 2.0, qubit.sigma_z)])
 
     rho = np.zeros((2, 2), dtype=complex)
     rho[0, 0] = 1.0
     echo = echo_unitary(p.phi_echo) if apply_echo else None
-    delta_fn = detuning_fn if detuning_fn is not None else (lambda t: detuning(t, p))
 
     rho, trace_defect, log = _evolve_protocol(
-        rho, lv, p, cfg, echo, delta_fn, None, record_segments)
+        rho, lv, p, cfg, echo, None, record_segments)
     diag = check_density(rho)
     return RunResult(
         p_e=float(np.real(rho[1, 1])),

@@ -1,10 +1,11 @@
 """Experiment driver: configured parameter scans with CSV + JSON output.
 
 Configuration is a flat key=value namespace (section-prefixed keys, all
-frequencies as ordinary frequencies in MHz, all times in ns).  Grid points
-run as independent tasks, optionally across worker processes; results are
-reassembled in grid order before writing, so output bytes never depend on
-the worker count.  Floats are written with 12 significant digits.
+frequencies as ordinary frequencies in MHz, all times in ns).  Every scan is
+one sweep: a battery x theta (x tau_p) grid of independent echo cycles, run
+optionally across worker processes and returned in grid order, then reduced
+to the experiment's CSVs, so output bytes never depend on the worker count.
+Floats are written with 12 significant digits.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import __version__, oracle, svgplot
-from .errors import ConfigError
+from .errors import ConfigError, InvalidNoise
 from .hilbert import HilbertSpec, build_operators, jc_coupling
 from .liouvillian import NoiseParams, assemble, devectorize, mhz_to_rad_per_ns, vectorize
 from .metrics import backaction, contrast, contrast_deficit_fit
@@ -87,9 +88,12 @@ class ScanConfig:
 
     def f(self, key: str) -> float:
         try:
-            return float(self.values[key])
+            x = float(self.values[key])
         except ValueError as exc:
             raise ConfigError(f"{key}={self.values[key]!r} is not a number") from exc
+        if not math.isfinite(x):
+            raise ConfigError(f"{key}={self.values[key]!r} is not finite")
+        return x
 
     def i(self, key: str) -> int:
         try:
@@ -102,9 +106,12 @@ class ScanConfig:
         if not raw.strip():
             return []
         try:
-            return [float(x) for x in raw.split(",") if x.strip()]
+            xs = [float(x) for x in raw.split(",") if x.strip()]
         except ValueError as exc:
             raise ConfigError(f"{key}={raw!r} is not a comma-separated number list") from exc
+        if not all(map(math.isfinite, xs)):
+            raise ConfigError(f"{key}={raw!r} has a non-finite entry")
+        return xs
 
 
 def load_config(
@@ -162,20 +169,28 @@ def load_config(
 def _validate(cfg: ScanConfig) -> None:
     if cfg.workers < 1:
         raise ConfigError(f"workers must be >= 1, got {cfg.workers}")
+    for key in DEFAULTS:  # every value parses to finite numbers, used or not
+        if key.endswith(("_count", "max_steps")):
+            cfg.i(key)
+        elif key.endswith("_list") or not cfg.values[key]:
+            cfg.flist(key)
+        else:
+            cfg.f(key)
     if cfg.i("grid.theta_count") < 2:
         raise ConfigError("grid.theta_count must be >= 2")
     if cfg.i("grid.tau_p_count") < 1:
         raise ConfigError("grid.tau_p_count must be >= 1")
-    tau_c = cfg.f("protocol.tau_c_ns")
-    for tau_p in (cfg.f("protocol.tau_p_ns"), cfg.f("grid.tau_p_max_ns")):
-        if 2.0 * tau_p > tau_c:
-            raise ConfigError(f"2*tau_p={2 * tau_p} exceeds tau_c={tau_c}")
-    for key in ("integrator.rtol", "integrator.atol"):
-        if cfg.f(key) <= 0:
-            raise ConfigError(f"{key} must be positive")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        noise_from(cfg)  # reject inconsistent noise inputs up front
+        try:  # the parameter objects' own checks, before any cycle runs
+            for key in ("protocol.tau_p_ns", "grid.tau_p_min_ns", "grid.tau_p_max_ns"):
+                protocol_for(cfg, tau_p=cfg.f(key))
+            for nbar in cfg.flist("grid.nbar_list"):
+                protocol_for(cfg, nbar=nbar)
+            integrator_from(cfg)
+            noise_from(cfg)
+        except (ValueError, InvalidNoise) as exc:
+            raise ConfigError(str(exc)) from exc
     if cfg.experiment != "oracle-check" and not cfg.flist("grid.nbar_list"):
         raise ConfigError("grid.nbar_list must not be empty")
 
@@ -204,8 +219,8 @@ def noise_from(cfg: ScanConfig) -> NoiseParams:
             warnings.warn("both rate and time noise inputs given; rates win",
                           stacklevel=2)
         base = NoiseParams.from_times(cfg.f("noise.t1_ns"), cfg.f("noise.t2_ns"))
-        gamma1 = float(g1_raw) if g1_raw else base.gamma1
-        gamma_phi = float(gphi_raw) if gphi_raw else base.gamma_phi
+        gamma1 = cfg.f("noise.gamma1_per_ns") if g1_raw else base.gamma1
+        gamma_phi = cfg.f("noise.gamma_phi_per_ns") if gphi_raw else base.gamma_phi
         return NoiseParams(gamma1=gamma1, gamma_phi=gamma_phi,
                            kappa=kappa, nbar_th=nbar_th)
     return NoiseParams.from_times(cfg.f("noise.t1_ns"), cfg.f("noise.t2_ns"),
@@ -231,31 +246,66 @@ def tau_p_grid(cfg: ScanConfig) -> np.ndarray:
                        cfg.i("grid.tau_p_count"))
 
 
-# task execution -------------------------------------------------------------
+# sweep engine ----------------------------------------------------------------
 
-def _exec_task(task):
-    idx, kind, params, battery, noise, icfg = task
+@dataclass(frozen=True)
+class Task:
+    """One echo cycle; battery None runs the classical reference."""
+
+    params: ProtocolParams
+    battery: BatterySpec | None
+    noise: NoiseParams
+    icfg: IntegratorConfig
+
+
+def _exec_task(task: Task):
     t_start = time.perf_counter()
-    if kind == "quantum":
-        res = run_quantum(params, battery, noise, icfg)
+    if task.battery is None:
+        res = run_classical(task.params, task.noise, task.icfg)
     else:
-        res = run_classical(params, noise, icfg)
-    return idx, res, time.perf_counter() - t_start
+        res = run_quantum(task.params, task.battery, task.noise, task.icfg)
+    return task, res, time.perf_counter() - t_start
 
 
-def run_tasks(tasks: list, workers: int) -> list:
-    """Execute tasks (serially or in a process pool) and restore grid order."""
+def run_tasks(tasks: list[Task], workers: int) -> list:
+    """Execute tasks serially or in a process pool.
+
+    Returns one (task, RunResult, seconds) triple per task, in input order.
+    """
     if workers <= 1 or len(tasks) < 2:
-        done = [_exec_task(t) for t in tasks]
-    else:
-        chunk = max(1, len(tasks) // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_exec_task, tasks, chunksize=chunk))
-    done.sort(key=lambda item: item[0])
-    return done
+        return [_exec_task(t) for t in tasks]
+    chunk = max(1, len(tasks) // (workers * 8))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_exec_task, tasks, chunksize=chunk))
 
 
-# output helpers --------------------------------------------------------------
+def sweep(cfg: ScanConfig, batteries: Sequence[BatterySpec | None],
+          taus: Sequence[float | None] = (None,)) -> list[list]:
+    """Run every battery over the theta (x tau_p) grid in one run_tasks call.
+
+    Battery phases are locked to theta_geo - pi/2; None is the classical
+    reference.  Tasks go battery-outer, theta, then tau_p, so cycles sharing
+    a generator run back to back.  Returns the run_tasks triples split per
+    battery.
+    """
+    # an unwritable output directory fails before any cycle runs
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    noise, icfg = noise_from(cfg), integrator_from(cfg)
+    thetas = theta_grid(cfg)
+    tasks = []
+    for battery in batteries:
+        nbar = None if battery is None else battery.nbar
+        for th in thetas:
+            for tp in taus:
+                p = protocol_for(cfg, float(th), nbar=nbar, tau_p=tp)
+                locked = None if battery is None else battery.with_phase(p.phi_batt)
+                tasks.append(Task(p, locked, noise, icfg))
+    done = run_tasks(tasks, cfg.workers)
+    per = len(thetas) * len(taus)
+    return [done[k * per:(k + 1) * per] for k in range(len(batteries))]
+
+
+# output ----------------------------------------------------------------------
 
 def _fmt(v) -> str:
     if isinstance(v, str):
@@ -292,148 +342,75 @@ def write_sidecar(csv_path: Path, cfg: ScanConfig, wall_s: float, n_runs: int,
     return side
 
 
+def _emit(cfg: ScanConfig, stem: str, header: Sequence[str], rows: list, batches: list,
+          extra: dict | None = None, plot: tuple | None = None) -> Path:
+    """Write stem.csv and its sidecar, timed by the sweep batches behind it.
+
+    plot is (svgplot function, *data, x_label, y_label), drawn with --svg.
+    """
+    path = cfg.out_dir / f"{stem}.csv"
+    write_csv(path, header, rows)
+    task_s = [s for runs in batches for _, _, s in runs]
+    write_sidecar(path, cfg, sum(task_s), len(task_s), extra=extra)
+    if cfg.svg and plot is not None:
+        draw, *args = plot
+        draw(path.with_suffix(".svg"), *args, path.stem)
+    return path
+
+
 # experiments -----------------------------------------------------------------
 
-def _battery_tasks(cfg: ScanConfig, battery_of, thetas, nbar: float,
-                   tau_ps=None, start_idx: int = 0) -> list:
-    """Quantum tasks over theta (x tau_p), phases locked to theta_geo - pi/2."""
-    noise = noise_from(cfg)
-    icfg = integrator_from(cfg)
-    tasks = []
-    idx = start_idx
-    taus = [None] if tau_ps is None else list(tau_ps)
-    for th in thetas:
-        for tp in taus:
-            params = protocol_for(cfg, theta=float(th), nbar=nbar, tau_p=tp)
-            tasks.append((idx, "quantum", params,
-                          battery_of(params.phi_batt), noise, icfg))
-            idx += 1
-    return tasks
-
-
-def _classical_tasks(cfg: ScanConfig, thetas, tau_ps=None, start_idx: int = 0) -> list:
-    noise = noise_from(cfg)
-    icfg = integrator_from(cfg)
-    tasks = []
-    idx = start_idx
-    taus = [None] if tau_ps is None else list(tau_ps)
-    for th in thetas:
-        for tp in taus:
-            tasks.append((idx, "classical", protocol_for(cfg, theta=float(th), tau_p=tp),
-                          None, noise, icfg))
-            idx += 1
-    return tasks
+def _coherent(cfg: ScanConfig) -> list[BatterySpec]:
+    return [BatterySpec.coherent(nbar) for nbar in cfg.flist("grid.nbar_list")]
 
 
 def cmd_fringe(cfg: ScanConfig) -> list[Path]:
     """One CSV per coherent battery plus the classical baseline."""
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    thetas = theta_grid(cfg)
-    written: list[Path] = []
-    for nbar in cfg.flist("grid.nbar_list"):
-        t0 = time.perf_counter()
-        tasks = _battery_tasks(cfg, lambda ph: BatterySpec.coherent(nbar, ph),
-                               thetas, nbar)
-        done = run_tasks(tasks, cfg.workers)
-        rows = [(float(th), r.p_e, r.delta_n, r.var_n_initial, r.eta_coh_initial)
-                for th, (_, r, _) in zip(thetas, done)]
-        path = cfg.out_dir / f"fringe_{BatterySpec.coherent(nbar).label()}.csv"
-        write_csv(path, ["theta_geo", "P_e", "delta_n", "var_n_init", "eta_coh_init"], rows)
-        write_sidecar(path, cfg, time.perf_counter() - t0, len(tasks))
-        if cfg.svg:
-            svgplot.line_plot_svg(path.with_suffix(".svg"), thetas,
-                                  {"P_e": [r[1] for r in rows]},
-                                  "theta_geo (rad)", "P_e", path.stem)
-        written.append(path)
-
-    t0 = time.perf_counter()
-    done = run_tasks(_classical_tasks(cfg, thetas), cfg.workers)
-    rows = [(float(th), r.p_e, r.delta_n, r.var_n_initial, r.eta_coh_initial)
-            for th, (_, r, _) in zip(thetas, done)]
-    path = cfg.out_dir / "fringe_classical.csv"
-    write_csv(path, ["theta_geo", "P_e", "delta_n", "var_n_init", "eta_coh_init"], rows)
-    write_sidecar(path, cfg, time.perf_counter() - t0, len(rows))
-    if cfg.svg:
-        svgplot.line_plot_svg(path.with_suffix(".svg"), thetas,
-                              {"P_e": [r[1] for r in rows]},
-                              "theta_geo (rad)", "P_e", path.stem)
-    written.append(path)
+    batteries = _coherent(cfg) + [None]
+    written = []
+    for battery, runs in zip(batteries, sweep(cfg, batteries)):
+        rows = [(t.params.theta_geo, r.p_e, r.delta_n, r.var_n_initial, r.eta_coh_initial)
+                for t, r, _ in runs]
+        written.append(_emit(
+            cfg, f"fringe_{battery.label() if battery else 'classical'}",
+            ["theta_geo", "P_e", "delta_n", "var_n_init", "eta_coh_init"], rows, [runs],
+            plot=(svgplot.line_plot_svg, [row[0] for row in rows],
+                  {"P_e": [row[1] for row in rows]}, "theta_geo (rad)", "P_e")))
     return written
 
 
 def cmd_heatmap(cfg: ScanConfig) -> list[Path]:
     """(theta_geo, tau_p) maps, theta-outer row-major; quantum vs classical."""
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    thetas = theta_grid(cfg)
-    taus = tau_p_grid(cfg)
-    written: list[Path] = []
-
-    t0 = time.perf_counter()
-    done_cl = run_tasks(_classical_tasks(cfg, thetas, taus), cfg.workers)
-    p_cl = np.array([r.p_e for _, r, _ in done_cl])
-    rows = [(float(th), float(tp), pe)
-            for (th, tp), pe in zip(((a, b) for a in thetas for b in taus), p_cl)]
-    path_cl = cfg.out_dir / "heatmap_classical.csv"
-    write_csv(path_cl, ["theta_geo", "tau_p", "P_e"], rows)
-    write_sidecar(path_cl, cfg, time.perf_counter() - t0, len(rows))
-    if cfg.svg:
-        grid = p_cl.reshape(len(thetas), len(taus))
-        svgplot.heatmap_svg(path_cl.with_suffix(".svg"), thetas, taus,
-                            grid.tolist(), "theta_geo (rad)", "tau_p (ns)",
-                            path_cl.stem)
-    written.append(path_cl)
-
-    for nbar in cfg.flist("grid.nbar_list"):
-        t0 = time.perf_counter()
-        tasks = _battery_tasks(cfg, lambda ph: BatterySpec.coherent(nbar, ph),
-                               thetas, nbar, tau_ps=taus)
-        done = run_tasks(tasks, cfg.workers)
-        p_q = np.array([r.p_e for _, r, _ in done])
-        min_eig = min(r.min_eig for _, r, _ in done)
-        rows = [(float(th), float(tp), pe)
-                for (th, tp), pe in zip(((a, b) for a in thetas for b in taus), p_q)]
-        path = cfg.out_dir / f"heatmap_{BatterySpec.coherent(nbar).label()}.csv"
-        write_csv(path, ["theta_geo", "tau_p", "P_e"], rows)
-        write_sidecar(path, cfg, time.perf_counter() - t0, len(rows), extra={
-            "max_abs_diff_vs_classical": float(np.max(np.abs(p_q - p_cl))),
-            "min_eigenvalue": float(min_eig),
-        })
-        if cfg.svg:
-            grid = p_q.reshape(len(thetas), len(taus))
-            svgplot.heatmap_svg(path.with_suffix(".svg"), thetas, taus,
-                                grid.tolist(), "theta_geo (rad)", "tau_p (ns)",
-                                path.stem)
-        written.append(path)
+    thetas, taus = theta_grid(cfg), tau_p_grid(cfg)
+    batteries = [None] + _coherent(cfg)
+    runs_all = sweep(cfg, batteries, taus)
+    p_cl = np.array([r.p_e for _, r, _ in runs_all[0]])
+    written = []
+    for battery, runs in zip(batteries, runs_all):
+        p_e = np.array([r.p_e for _, r, _ in runs])
+        extra = None if battery is None else {
+            "max_abs_diff_vs_classical": float(np.max(np.abs(p_e - p_cl))),
+            "min_eigenvalue": float(min(r.min_eig for _, r, _ in runs)),
+        }
+        rows = [(t.params.theta_geo, t.params.tau_p, r.p_e) for t, r, _ in runs]
+        written.append(_emit(
+            cfg, f"heatmap_{battery.label() if battery else 'classical'}",
+            ["theta_geo", "tau_p", "P_e"], rows, [runs], extra,
+            plot=(svgplot.heatmap_svg, thetas, taus,
+                  p_e.reshape(len(thetas), len(taus)).tolist(),
+                  "theta_geo (rad)", "tau_p (ns)")))
     return written
-
-
-def _contrast_sweep(cfg: ScanConfig):
-    """Shared engine for contrast-scan and backaction: fringes per nbar."""
-    thetas = theta_grid(cfg)
-    nbars = cfg.flist("grid.nbar_list")
-    done_cl = run_tasks(_classical_tasks(cfg, thetas), cfg.workers)
-    c_cl = contrast([r.p_e for _, r, _ in done_cl])
-    per_nbar = []
-    for nbar in nbars:
-        tasks = _battery_tasks(cfg, lambda ph: BatterySpec.coherent(nbar, ph),
-                               thetas, nbar)
-        done = run_tasks(tasks, cfg.workers)
-        results = [r for _, r, _ in done]
-        per_nbar.append((nbar, results))
-    return thetas, c_cl, per_nbar
 
 
 def cmd_contrast_scan(cfg: ScanConfig) -> list[Path]:
     """Fringe contrast vs battery size, with the 1/nbar deficit fit."""
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
-    _, c_cl, per_nbar = _contrast_sweep(cfg)
+    batteries = [None] + _coherent(cfg)
+    runs_all = sweep(cfg, batteries)
+    c_cl = contrast([r.p_e for _, r, _ in runs_all[0]])
     rows = []
-    for nbar, results in per_nbar:
-        c = contrast([r.p_e for r in results])
-        rows.append((nbar, c, c_cl, c_cl - c, 1.0 / nbar))
-    path = cfg.out_dir / "contrast_scan.csv"
-    write_csv(path, ["nbar", "C", "C_cl", "deficit", "inv_nbar"], rows)
+    for battery, runs in zip(batteries[1:], runs_all[1:]):
+        c = contrast([r.p_e for _, r, _ in runs])
+        rows.append((battery.nbar, c, c_cl, c_cl - c, 1.0 / battery.nbar))
 
     fit_rows = [(nb, c) for nb, c, *_ in rows if nb >= 2.0]
     extra: dict = {"fit": None}
@@ -442,76 +419,54 @@ def cmd_contrast_scan(cfg: ScanConfig) -> list[Path]:
                                    [c for _, c in fit_rows], c_cl)
         extra["fit"] = {"slope": fit.slope, "intercept": fit.intercept,
                         "r2": fit.r2, "n_points": fit.n_points, "nbar_min": 2.0}
-    n_runs = sum(len(res) for _, res in per_nbar) + cfg.i("grid.theta_count")
-    write_sidecar(path, cfg, time.perf_counter() - t0, n_runs, extra=extra)
+    path = _emit(cfg, "contrast_scan", ["nbar", "C", "C_cl", "deficit", "inv_nbar"],
+                 rows, runs_all, extra,
+                 plot=(svgplot.line_plot_svg, [r[0] for r in rows],
+                       {"C": [r[1] for r in rows], "C_cl": [r[2] for r in rows]},
+                       "nbar", "contrast"))
     fit_path = cfg.out_dir / "contrast_fit.json"
     fit_path.write_text(json.dumps(extra["fit"], indent=2, sort_keys=True) + "\n",
                         encoding="utf-8")
-    if cfg.svg:
-        svgplot.line_plot_svg(path.with_suffix(".svg"), [r[0] for r in rows],
-                              {"C": [r[1] for r in rows],
-                               "C_cl": [r[2] for r in rows]},
-                              "nbar", "contrast", path.stem)
     return [path, fit_path]
 
 
 def cmd_backaction(cfg: ScanConfig) -> list[Path]:
     """Photon-number change per cycle, averaged over the phase grid."""
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
-    _, _, per_nbar = _contrast_sweep(cfg)
+    batteries = _coherent(cfg)
+    runs_all = sweep(cfg, batteries)
     rows = []
-    for nbar, results in per_nbar:
-        mean_dn, std_dn = backaction([r.delta_n for r in results])
-        rows.append((nbar, mean_dn, std_dn, mean_dn / nbar))
-    path = cfg.out_dir / "backaction.csv"
-    write_csv(path, ["nbar", "mean_delta_n", "std_delta_n", "rel_backaction"], rows)
-    n_runs = sum(len(res) for _, res in per_nbar) + cfg.i("grid.theta_count")
-    write_sidecar(path, cfg, time.perf_counter() - t0, n_runs)
-    if cfg.svg:
-        svgplot.line_plot_svg(path.with_suffix(".svg"), [r[0] for r in rows],
-                              {"mean_delta_n": [r[1] for r in rows],
-                               "rel_backaction": [r[3] for r in rows]},
-                              "nbar", "delta_n", path.stem)
-    return [path]
-
-
-def _bench_states(cfg: ScanConfig, nbar: float):
-    """(state_kind, r_or_q, battery factory) triples for the squeeze benchmark."""
-    entries = [("coherent", 0.0, lambda ph, nb=nbar: BatterySpec.coherent(nb, ph))]
-    for r in cfg.flist("grid.r_list"):
-        entries.append(("amp_squeezed", r,
-                        lambda ph, nb=nbar, rr=r: BatterySpec.displaced_squeezed(nb, rr, ph)))
-    for q in cfg.flist("grid.q_list"):
-        entries.append(("number_squeezed", q,
-                        lambda ph, nb=nbar, qq=q: BatterySpec.number_squeezed(nb, qq, ph)))
-    return entries
+    for battery, runs in zip(batteries, runs_all):
+        mean_dn, std_dn = backaction([r.delta_n for _, r, _ in runs])
+        rows.append((battery.nbar, mean_dn, std_dn, mean_dn / battery.nbar))
+    return [_emit(cfg, "backaction", ["nbar", "mean_delta_n", "std_delta_n", "rel_backaction"],
+                  rows, runs_all,
+                  plot=(svgplot.line_plot_svg, [r[0] for r in rows],
+                        {"mean_delta_n": [r[1] for r in rows],
+                         "rel_backaction": [r[3] for r in rows]},
+                        "nbar", "delta_n"))]
 
 
 def cmd_squeeze_bench(cfg: ScanConfig) -> list[Path]:
     """Contrast of squeezed batteries against the same-energy coherent state."""
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    thetas = theta_grid(cfg)
-    t0 = time.perf_counter()
-    rows = []
-    n_runs = 0
+    entries = []  # (state_kind, r_or_q, battery)
     for nbar in cfg.flist("grid.nbar_list"):
-        c_coh = None
-        for state_kind, r_or_q, factory in _bench_states(cfg, nbar):
-            tasks = _battery_tasks(cfg, factory, thetas, nbar)
-            done = run_tasks(tasks, cfg.workers)
-            results = [r for _, r, _ in done]
-            n_runs += len(results)
-            c = contrast([r.p_e for r in results])
-            if state_kind == "coherent":
-                c_coh = c
-            rows.append((state_kind, nbar, r_or_q, c, c - c_coh,
-                         results[0].var_n_initial, results[0].eta_coh_initial))
-    path = cfg.out_dir / "squeeze_bench.csv"
-    write_csv(path, ["state_kind", "nbar", "r_or_q", "C", "delta_C",
-                     "var_n_init", "eta_coh_init"], rows)
-    write_sidecar(path, cfg, time.perf_counter() - t0, n_runs)
-    return [path]
+        entries.append(("coherent", 0.0, BatterySpec.coherent(nbar)))
+        entries += [("amp_squeezed", r, BatterySpec.displaced_squeezed(nbar, r))
+                    for r in cfg.flist("grid.r_list")]
+        entries += [("number_squeezed", q, BatterySpec.number_squeezed(nbar, q))
+                    for q in cfg.flist("grid.q_list")]
+    runs_all = sweep(cfg, [battery for _, _, battery in entries])
+    rows = []
+    for (state_kind, r_or_q, battery), runs in zip(entries, runs_all):
+        c = contrast([r.p_e for _, r, _ in runs])
+        if state_kind == "coherent":
+            c_coh = c
+        first = runs[0][1]
+        rows.append((state_kind, battery.nbar, r_or_q, c, c - c_coh,
+                     first.var_n_initial, first.eta_coh_initial))
+    return [_emit(cfg, "squeeze_bench", ["state_kind", "nbar", "r_or_q", "C", "delta_C",
+                                         "var_n_init", "eta_coh_init"],
+                  rows, runs_all)]
 
 
 def cmd_oracle_check(cfg: ScanConfig) -> list[Path]:

@@ -6,7 +6,7 @@ import pytest
 from glzi.liouvillian import NoiseParams
 from glzi.metrics import contrast
 from glzi.protocol import ProtocolParams
-from glzi.scan import run_tasks
+from glzi.scan import Task, run_tasks
 from glzi.odeint import IntegratorConfig
 from glzi.states import BatterySpec
 
@@ -18,22 +18,19 @@ def reference_noise() -> NoiseParams:
     return NoiseParams.from_times(118.0, 157.0, kappa=1e-4)
 
 
-def fringe_results(nbar, thetas, noise, battery_of=None, workers=WORKERS):
-    """Quantum fringe runs over a theta grid, battery phase locked to the protocol."""
-    if battery_of is None:
-        battery_of = lambda ph: BatterySpec.coherent(nbar, ph)
+def fringe_results(nbar, thetas, noise, workers=WORKERS):
+    """Coherent-battery fringe runs over a theta grid, phase locked to the protocol."""
     icfg = IntegratorConfig()
     tasks = []
-    for i, th in enumerate(thetas):
+    for th in thetas:
         p = ProtocolParams(theta_geo=float(th), nbar=nbar)
-        tasks.append((i, "quantum", p, battery_of(p.phi_batt), noise, icfg))
+        tasks.append(Task(p, BatterySpec.coherent(nbar, p.phi_batt), noise, icfg))
     return [r for _, r, _ in run_tasks(tasks, workers)]
 
 
 def classical_fringe(thetas, noise, workers=WORKERS):
     icfg = IntegratorConfig()
-    tasks = [(i, "classical", ProtocolParams(theta_geo=float(th)), None, noise, icfg)
-             for i, th in enumerate(thetas)]
+    tasks = [Task(ProtocolParams(theta_geo=float(th)), None, noise, icfg) for th in thetas]
     return [r for _, r, _ in run_tasks(tasks, workers)]
 
 

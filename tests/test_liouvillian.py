@@ -40,6 +40,9 @@ def test_noise_params_from_times():
         NoiseParams.from_times(100.0, 300.0)  # T2 > 2 T1
     with pytest.raises(InvalidNoise):
         NoiseParams(gamma1=-0.1)
+    for bad in ({"gamma1": math.nan}, {"kappa": math.inf}, {"nbar_th": math.nan}):
+        with pytest.raises(InvalidNoise):
+            NoiseParams(**bad)
 
 
 def test_vectorize_column_stacking():

@@ -14,6 +14,9 @@ def test_config_validation():
         IntegratorConfig(h_min=1.0, h_init=0.1)
     with pytest.raises(ValueError):
         IntegratorConfig(h_init=2.0, h_max=1.0)
+    for bad in ({"rtol": math.nan}, {"atol": math.inf}, {"h_max": math.nan}):
+        with pytest.raises(ValueError):
+            IntegratorConfig(**bad)
 
 
 def test_exponential_oracle():

@@ -26,6 +26,9 @@ def test_protocol_params_calibration():
         ProtocolParams(tau_p=60.0, tau_c=100.0)
     with pytest.raises(ValueError):
         ProtocolParams(nbar=0.0)
+    for bad in ({"tau_p": math.nan}, {"omega": math.inf}, {"theta_geo": -math.inf}):
+        with pytest.raises(ValueError):
+            ProtocolParams(**bad)
 
 
 def test_detuning_waveform():

@@ -1,9 +1,12 @@
 import json
 import math
+import multiprocessing
+import os
 
 import pytest
 
 import glzi.oracle
+import glzi.scan
 from glzi.cli import main
 from glzi.errors import ConfigError
 from glzi.oracle import SectorAmplitudes
@@ -53,6 +56,14 @@ def test_load_config_rejects_bad_input(tmp_path):
         load_config("fringe", overrides=["protocol.tau_p_ns=80"], out_dir=tmp_path)
     with pytest.raises(ConfigError):
         load_config("fringe", config_file=tmp_path / "missing.cfg", out_dir=tmp_path)
+    for pair in ("protocol.tau_p_ns=nan", "integrator.rtol=nan", "noise.t1_ns=inf",
+                 "noise.kappa_per_ns=nan", "grid.tau_p_max_ns=nan",
+                 "protocol.omega_mhz=inf", "noise.gamma1_per_ns=nan",
+                 "noise.gamma_phi_per_ns=-inf", "grid.nbar_list=1,inf",
+                 "integrator.h_init_ns=nan", "noise.t1_ns=-1",
+                 "integrator.h_min_ns=1", "grid.tau_p_min_ns=0", "grid.nbar_list=1,-1"):
+        with pytest.raises(ConfigError):
+            load_config("fringe", overrides=[pair], out_dir=tmp_path)
 
 
 def test_config_file_parsing(tmp_path):
@@ -145,7 +156,11 @@ def test_cmd_contrast_scan_columns(tmp_path):
     assert set(fit) == {"slope", "intercept", "r2", "n_points", "nbar_min"}
 
 
-def test_cmd_backaction_control_row(tmp_path):
+def test_cmd_backaction_control_row(tmp_path, monkeypatch):
+    def no_classical(*args):
+        raise AssertionError("backaction ran a classical cycle")
+
+    monkeypatch.setattr(glzi.scan, "run_classical", no_classical)
     cfg = cfg_for("backaction", tmp_path, "grid.theta_count=5",
                   "grid.nbar_list=2", "protocol.omega_mhz=0",
                   "noise.kappa_per_ns=0")
@@ -154,6 +169,8 @@ def test_cmd_backaction_control_row(tmp_path):
     # decoupled lossless battery: no photon exchange at all
     assert abs(float(row[1])) < 1e-10
     assert abs(float(row[2])) < 1e-10
+    timings = json.loads(files[0].with_suffix(".json").read_text())["timings"]
+    assert timings["n_runs"] == 1 * 5
 
 
 def test_cmd_squeeze_bench_rows(tmp_path):
@@ -166,6 +183,30 @@ def test_cmd_squeeze_bench_rows(tmp_path):
     assert [r[0] for r in rows] == ["coherent", "amp_squeezed", "number_squeezed"]
     assert float(rows[0][4]) == 0.0  # coherent row delta_C
     assert all(float(r[4]) <= 0.0 for r in rows)
+
+
+def test_each_scan_is_one_sweep(tmp_path, monkeypatch):
+    sizes = []
+    original = glzi.scan.run_tasks
+
+    def counting(tasks, workers):
+        sizes.append(len(tasks))
+        return original(tasks, workers)
+
+    monkeypatch.setattr(glzi.scan, "run_tasks", counting)
+    grid = ("grid.theta_count=3", "grid.nbar_list=1,2")
+    cases = [  # (command, experiment, extra overrides, cycles)
+        (cmd_fringe, "fringe", (), 3 * 3),
+        (cmd_heatmap, "heatmap", ("grid.tau_p_count=2",), 3 * 3 * 2),
+        (cmd_contrast_scan, "contrast-scan", (), 3 * 3),
+        (cmd_backaction, "backaction", (), 2 * 3),
+        (cmd_squeeze_bench, "squeeze-bench", ("grid.r_list=0.25", "grid.q_list=0.5"),
+         2 * 3 * 3),
+    ]
+    for cmd, experiment, extra, cycles in cases:
+        sizes.clear()
+        cmd(cfg_for(experiment, tmp_path / experiment, *grid, *extra))
+        assert sizes == [cycles], experiment
 
 
 def test_oracle_check_report(tmp_path):
@@ -208,6 +249,22 @@ def test_cli_exit_codes(tmp_path, capsys):
                 "--set", "grid.theta_count=3", "--set", "grid.nbar_list=1",
                 "--set", "integrator.max_steps=2"])
     assert bad == 3
+
+    nan = main(["fringe", "--out", str(tmp_path / "nan"), "--workers", "1",
+                "--set", "protocol.tau_p_ns=nan", "--set", "grid.theta_count=3",
+                "--set", "grid.nbar_list=1"])
+    assert nan == 2
+    assert not (tmp_path / "nan").exists()
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="pool workers inherit the patched cycle only when forked")
+def test_cli_crashed_worker_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(glzi.scan, "run_quantum", lambda *args: os._exit(1))
+    rc = main(["fringe", "--out", str(tmp_path), "--workers", "2",
+               "--set", "grid.theta_count=3", "--set", "grid.nbar_list=1"])
+    assert rc == 3
+    assert "fringe failed" in capsys.readouterr().err
 
 
 def test_cli_svg(tmp_path):
