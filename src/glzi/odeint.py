@@ -150,6 +150,8 @@ class IntegratorConfig:
             raise ValueError(f"h_min={self.h_min} exceeds h_init={self.h_init}")
         if self.h_max is not None and self.h_init > self.h_max:
             raise ValueError(f"h_init={self.h_init} exceeds h_max={self.h_max}")
+        if self.max_steps < 1:
+            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
 
 
 def _error_norm(k: np.ndarray, h: float, scale: np.ndarray) -> float:
@@ -174,8 +176,11 @@ def integrate_segment(
 
     The final step is clipped to land exactly on t1.  Raises StepUnderflow
     if the controller pushes the step below cfg.h_min and MaxStepsExceeded
-    past cfg.max_steps attempted steps.
+    past cfg.max_steps attempted steps; non-finite or reversed times are a
+    ValueError.
     """
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"t0={t0} and t1={t1} must be finite")
     if t1 < t0:
         raise ValueError(f"t1={t1} must be >= t0={t0}")
     y = np.array(y0, dtype=complex, copy=True)

@@ -16,7 +16,7 @@ import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -35,7 +35,7 @@ from .protocol import (
     run_quantum,
     simulate_constant_detuning,
 )
-from .states import BatterySpec, build_state
+from .states import ALIGN_ANGLE, BatterySpec, build_state
 
 EXPERIMENTS = ("fringe", "heatmap", "contrast-scan", "backaction",
                "squeeze-bench", "oracle-check")
@@ -193,6 +193,16 @@ def _validate(cfg: ScanConfig) -> None:
             raise ConfigError(str(exc)) from exc
     if cfg.experiment != "oracle-check" and not cfg.flist("grid.nbar_list"):
         raise ConfigError("grid.nbar_list must not be empty")
+    if cfg.experiment == "squeeze-bench":  # the state builders' checks, in closed form
+        if any(r < 0 for r in cfg.flist("grid.r_list")):
+            raise ConfigError("grid.r_list entries must be >= 0")
+        if any(q <= 0 for q in cfg.flist("grid.q_list")):
+            raise ConfigError("grid.q_list entries must be > 0")
+        for nbar in cfg.flist("grid.nbar_list"):
+            for r in cfg.flist("grid.r_list"):
+                if r >= math.asinh(math.sqrt(nbar)):  # sinh^2(r) >= nbar
+                    raise ConfigError(f"squeezing r={r:g} uses the whole energy "
+                                      f"budget of nbar={nbar:g} (sinh^2(r) >= nbar)")
 
 
 def protocol_for(cfg: ScanConfig, theta: float = 0.0,
@@ -279,30 +289,103 @@ def run_tasks(tasks: list[Task], workers: int) -> list:
         return list(pool.map(_exec_task, tasks, chunksize=chunk))
 
 
+# probe offsets from the first grid angle: 2*theta steps of 2pi/3
+_PROBES = np.array([0.0, math.pi / 3.0, 2.0 * math.pi / 3.0])
+
+
+@dataclass(frozen=True)
+class BatterySweep:
+    """One battery's grid and the cycles integrated for it.
+
+    points holds a (Task, RunResult) pair per theta (x tau_p) grid point,
+    theta-outer; runs holds the run_tasks triples actually integrated, which
+    are the grid points themselves or the three harmonic probes.
+    """
+
+    points: list
+    runs: list
+
+
+def _harmonic_weights(thetas: np.ndarray) -> np.ndarray:
+    """(len(thetas), 3) map from the probe values to the theta grid.
+
+    With phi = theta - pi/2, the span of {1, cos 2phi, sin 2phi} is that of
+    {1, cos 2theta, sin 2theta}; the probes sit 2pi/3 apart in 2theta, so
+    the 3x3 system is well conditioned.
+    """
+    def basis(th):
+        return np.column_stack([np.ones_like(th), np.cos(2.0 * th), np.sin(2.0 * th)])
+    return basis(thetas) @ np.linalg.inv(basis(thetas[0] + _PROBES))
+
+
+def _fit_grid(probes: list, weights: np.ndarray, n_tau: int) -> list:
+    """Evaluate the probes' second-harmonic fit on the theta x tau_p grid.
+
+    probes are probe-outer, tau_p inner.  Var(n)_final is quadratic in the
+    state, so it comes from the fitted <n> and <n^2>.  Phase-invariant initial
+    statistics come from the first probe; per-cycle fields that are not
+    reconstructed (<a>_final, trace defect, minimum eigenvalue) are NaN.
+    """
+    def fit(values):
+        return weights @ np.asarray(values).reshape(3, n_tau)
+
+    p_e = fit([r.p_e for r in probes])
+    mean = fit([r.mean_n_final for r in probes])
+    var = fit([r.var_n_final + r.mean_n_final ** 2 for r in probes]) - mean ** 2
+    return [replace(probes[j], p_e=float(p_e[i, j]), mean_n_final=float(mean[i, j]),
+                    var_n_final=float(var[i, j]), a_mean_final=complex(math.nan, math.nan),
+                    trace_defect=math.nan, min_eig=math.nan, segments=())
+            for i in range(len(weights)) for j in range(n_tau)]
+
+
 def sweep(cfg: ScanConfig, batteries: Sequence[BatterySpec | None],
-          taus: Sequence[float | None] = (None,)) -> list[list]:
+          taus: Sequence[float | None] = (None,)) -> list[BatterySweep]:
     """Run every battery over the theta (x tau_p) grid in one run_tasks call.
 
-    Battery phases are locked to theta_geo - pi/2; None is the classical
-    reference.  Tasks go battery-outer, theta, then tau_p, so cycles sharing
-    a generator run back to back.  Returns the run_tasks triples split per
-    battery.
+    Battery phases are locked to phi = theta_geo - pi/2; None is the classical
+    reference.  theta enters a cycle only through phi, and the generator, the
+    dissipators and sanitize keep the total-excitation coherence order while
+    the qubit-only echo moves it by 0 or +-2, so P_e, <n>_final and
+    <n^2>_final are exactly A0 + A2c cos 2phi + A2s sin 2phi.  Each battery
+    (and each tau_p column) is therefore integrated at three probe angles
+    theta_0 + {0, pi/3, 2pi/3} and the fit is evaluated on the grid.  Grids of
+    three or fewer angles, and batteries whose squeezing angle is fixed
+    (alignment "angle") rather than locked to phi, are integrated point by
+    point.  Tasks go battery-outer, theta, then tau_p, so cycles sharing a
+    generator run back to back.
     """
     # an unwritable output directory fails before any cycle runs
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     noise, icfg = noise_from(cfg), integrator_from(cfg)
     thetas = theta_grid(cfg)
-    tasks = []
-    for battery in batteries:
+
+    def tasks_at(battery, angles):
         nbar = None if battery is None else battery.nbar
-        for th in thetas:
+        tasks = []
+        for th in angles:
             for tp in taus:
                 p = protocol_for(cfg, float(th), nbar=nbar, tau_p=tp)
                 locked = None if battery is None else battery.with_phase(p.phi_batt)
                 tasks.append(Task(p, locked, noise, icfg))
-    done = run_tasks(tasks, cfg.workers)
-    per = len(thetas) * len(taus)
-    return [done[k * per:(k + 1) * per] for k in range(len(batteries))]
+        return tasks
+
+    fitted = [len(thetas) > len(_PROBES) and (b is None or b.alignment != ALIGN_ANGLE)
+              for b in batteries]
+    batches = [tasks_at(b, thetas[0] + _PROBES if fit else thetas)
+               for b, fit in zip(batteries, fitted)]
+    done = run_tasks([t for batch in batches for t in batch], cfg.workers)
+    weights = _harmonic_weights(thetas)
+    out, start = [], 0
+    for battery, fit, batch in zip(batteries, fitted, batches):
+        runs = done[start:start + len(batch)]
+        start += len(batch)
+        if fit:
+            points = list(zip(tasks_at(battery, thetas),
+                              _fit_grid([r for _, r, _ in runs], weights, len(taus))))
+        else:
+            points = [(t, r) for t, r, _ in runs]
+        out.append(BatterySweep(points, runs))
+    return out
 
 
 # output ----------------------------------------------------------------------
@@ -342,15 +425,16 @@ def write_sidecar(csv_path: Path, cfg: ScanConfig, wall_s: float, n_runs: int,
     return side
 
 
-def _emit(cfg: ScanConfig, stem: str, header: Sequence[str], rows: list, batches: list,
-          extra: dict | None = None, plot: tuple | None = None) -> Path:
-    """Write stem.csv and its sidecar, timed by the sweep batches behind it.
+def _emit(cfg: ScanConfig, stem: str, header: Sequence[str], rows: list,
+          sweeps: list[BatterySweep], extra: dict | None = None,
+          plot: tuple | None = None) -> Path:
+    """Write stem.csv and its sidecar, timed by the cycles integrated behind it.
 
     plot is (svgplot function, *data, x_label, y_label), drawn with --svg.
     """
     path = cfg.out_dir / f"{stem}.csv"
     write_csv(path, header, rows)
-    task_s = [s for runs in batches for _, _, s in runs]
+    task_s = [s for sw in sweeps for _, _, s in sw.runs]
     write_sidecar(path, cfg, sum(task_s), len(task_s), extra=extra)
     if cfg.svg and plot is not None:
         draw, *args = plot
@@ -368,12 +452,12 @@ def cmd_fringe(cfg: ScanConfig) -> list[Path]:
     """One CSV per coherent battery plus the classical baseline."""
     batteries = _coherent(cfg) + [None]
     written = []
-    for battery, runs in zip(batteries, sweep(cfg, batteries)):
+    for battery, sw in zip(batteries, sweep(cfg, batteries)):
         rows = [(t.params.theta_geo, r.p_e, r.delta_n, r.var_n_initial, r.eta_coh_initial)
-                for t, r, _ in runs]
+                for t, r in sw.points]
         written.append(_emit(
             cfg, f"fringe_{battery.label() if battery else 'classical'}",
-            ["theta_geo", "P_e", "delta_n", "var_n_init", "eta_coh_init"], rows, [runs],
+            ["theta_geo", "P_e", "delta_n", "var_n_init", "eta_coh_init"], rows, [sw],
             plot=(svgplot.line_plot_svg, [row[0] for row in rows],
                   {"P_e": [row[1] for row in rows]}, "theta_geo (rad)", "P_e")))
     return written
@@ -383,19 +467,19 @@ def cmd_heatmap(cfg: ScanConfig) -> list[Path]:
     """(theta_geo, tau_p) maps, theta-outer row-major; quantum vs classical."""
     thetas, taus = theta_grid(cfg), tau_p_grid(cfg)
     batteries = [None] + _coherent(cfg)
-    runs_all = sweep(cfg, batteries, taus)
-    p_cl = np.array([r.p_e for _, r, _ in runs_all[0]])
+    sweeps = sweep(cfg, batteries, taus)
+    p_cl = np.array([r.p_e for _, r in sweeps[0].points])
     written = []
-    for battery, runs in zip(batteries, runs_all):
-        p_e = np.array([r.p_e for _, r, _ in runs])
+    for battery, sw in zip(batteries, sweeps):
+        p_e = np.array([r.p_e for _, r in sw.points])
         extra = None if battery is None else {
             "max_abs_diff_vs_classical": float(np.max(np.abs(p_e - p_cl))),
-            "min_eigenvalue": float(min(r.min_eig for _, r, _ in runs)),
+            "min_eigenvalue": float(min(r.min_eig for _, r, _ in sw.runs)),
         }
-        rows = [(t.params.theta_geo, t.params.tau_p, r.p_e) for t, r, _ in runs]
+        rows = [(t.params.theta_geo, t.params.tau_p, r.p_e) for t, r in sw.points]
         written.append(_emit(
             cfg, f"heatmap_{battery.label() if battery else 'classical'}",
-            ["theta_geo", "tau_p", "P_e"], rows, [runs], extra,
+            ["theta_geo", "tau_p", "P_e"], rows, [sw], extra,
             plot=(svgplot.heatmap_svg, thetas, taus,
                   p_e.reshape(len(thetas), len(taus)).tolist(),
                   "theta_geo (rad)", "tau_p (ns)")))
@@ -405,11 +489,11 @@ def cmd_heatmap(cfg: ScanConfig) -> list[Path]:
 def cmd_contrast_scan(cfg: ScanConfig) -> list[Path]:
     """Fringe contrast vs battery size, with the 1/nbar deficit fit."""
     batteries = [None] + _coherent(cfg)
-    runs_all = sweep(cfg, batteries)
-    c_cl = contrast([r.p_e for _, r, _ in runs_all[0]])
+    sweeps = sweep(cfg, batteries)
+    c_cl = contrast([r.p_e for _, r in sweeps[0].points])
     rows = []
-    for battery, runs in zip(batteries[1:], runs_all[1:]):
-        c = contrast([r.p_e for _, r, _ in runs])
+    for battery, sw in zip(batteries[1:], sweeps[1:]):
+        c = contrast([r.p_e for _, r in sw.points])
         rows.append((battery.nbar, c, c_cl, c_cl - c, 1.0 / battery.nbar))
 
     fit_rows = [(nb, c) for nb, c, *_ in rows if nb >= 2.0]
@@ -420,7 +504,7 @@ def cmd_contrast_scan(cfg: ScanConfig) -> list[Path]:
         extra["fit"] = {"slope": fit.slope, "intercept": fit.intercept,
                         "r2": fit.r2, "n_points": fit.n_points, "nbar_min": 2.0}
     path = _emit(cfg, "contrast_scan", ["nbar", "C", "C_cl", "deficit", "inv_nbar"],
-                 rows, runs_all, extra,
+                 rows, sweeps, extra,
                  plot=(svgplot.line_plot_svg, [r[0] for r in rows],
                        {"C": [r[1] for r in rows], "C_cl": [r[2] for r in rows]},
                        "nbar", "contrast"))
@@ -433,13 +517,13 @@ def cmd_contrast_scan(cfg: ScanConfig) -> list[Path]:
 def cmd_backaction(cfg: ScanConfig) -> list[Path]:
     """Photon-number change per cycle, averaged over the phase grid."""
     batteries = _coherent(cfg)
-    runs_all = sweep(cfg, batteries)
+    sweeps = sweep(cfg, batteries)
     rows = []
-    for battery, runs in zip(batteries, runs_all):
-        mean_dn, std_dn = backaction([r.delta_n for _, r, _ in runs])
+    for battery, sw in zip(batteries, sweeps):
+        mean_dn, std_dn = backaction([r.delta_n for _, r in sw.points])
         rows.append((battery.nbar, mean_dn, std_dn, mean_dn / battery.nbar))
     return [_emit(cfg, "backaction", ["nbar", "mean_delta_n", "std_delta_n", "rel_backaction"],
-                  rows, runs_all,
+                  rows, sweeps,
                   plot=(svgplot.line_plot_svg, [r[0] for r in rows],
                         {"mean_delta_n": [r[1] for r in rows],
                          "rel_backaction": [r[3] for r in rows]},
@@ -455,18 +539,18 @@ def cmd_squeeze_bench(cfg: ScanConfig) -> list[Path]:
                     for r in cfg.flist("grid.r_list")]
         entries += [("number_squeezed", q, BatterySpec.number_squeezed(nbar, q))
                     for q in cfg.flist("grid.q_list")]
-    runs_all = sweep(cfg, [battery for _, _, battery in entries])
+    sweeps = sweep(cfg, [battery for _, _, battery in entries])
     rows = []
-    for (state_kind, r_or_q, battery), runs in zip(entries, runs_all):
-        c = contrast([r.p_e for _, r, _ in runs])
+    for (state_kind, r_or_q, battery), sw in zip(entries, sweeps):
+        c = contrast([r.p_e for _, r in sw.points])
         if state_kind == "coherent":
             c_coh = c
-        first = runs[0][1]
+        first = sw.points[0][1]
         rows.append((state_kind, battery.nbar, r_or_q, c, c - c_coh,
                      first.var_n_initial, first.eta_coh_initial))
     return [_emit(cfg, "squeeze_bench", ["state_kind", "nbar", "r_or_q", "C", "delta_C",
                                          "var_n_init", "eta_coh_init"],
-                  rows, runs_all)]
+                  rows, sweeps)]
 
 
 def cmd_oracle_check(cfg: ScanConfig) -> list[Path]:
@@ -612,6 +696,21 @@ def oracle_report() -> list[dict]:
         ref = oracle.reduced_qubit(full_amps, g, delta, t)
         worst = max(worst, abs(pe - ref.p_excited), abs(coh_ge - ref.coherence_ge))
     checks.append(_check("sector_decomposition_vs_simulation", worst, 1e-6))
+
+    # sweep's three-probe reconstruction rests on this: direct cycles at five
+    # locked phases fit A0 + A2c cos 2phi + A2s sin 2phi
+    thetas = 0.1 + np.linspace(0.0, math.pi, 5, endpoint=False)
+    runs = []
+    for th in thetas:
+        p = ProtocolParams(theta_geo=float(th), nbar=1.0)
+        runs.append(run_quantum(p, BatterySpec.coherent(1.0, p.phi_batt), noise))
+    phi = thetas - math.pi / 2.0
+    basis = np.column_stack([np.ones_like(phi), np.cos(2.0 * phi), np.sin(2.0 * phi)])
+    worst = 0.0
+    for values in ([r.p_e for r in runs], [r.delta_n for r in runs]):
+        coef, *_ = np.linalg.lstsq(basis, values, rcond=None)
+        worst = max(worst, float(np.max(np.abs(basis @ coef - values))))
+    checks.append(_check("fringe_is_second_harmonic", worst, 1e-7))
     return checks
 
 

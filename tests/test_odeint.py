@@ -14,7 +14,8 @@ def test_config_validation():
         IntegratorConfig(h_min=1.0, h_init=0.1)
     with pytest.raises(ValueError):
         IntegratorConfig(h_init=2.0, h_max=1.0)
-    for bad in ({"rtol": math.nan}, {"atol": math.inf}, {"h_max": math.nan}):
+    for bad in ({"rtol": math.nan}, {"atol": math.inf}, {"h_max": math.nan},
+                {"max_steps": 0}, {"max_steps": -1}):
         with pytest.raises(ValueError):
             IntegratorConfig(**bad)
 
@@ -43,8 +44,10 @@ def test_degenerate_interval_returns_copy():
     y = integrate_segment(y0, 5.0, 5.0, lambda t, v: v, IntegratorConfig())
     assert np.array_equal(y, y0)
     assert y is not y0
-    with pytest.raises(ValueError):
-        integrate_segment(y0, 5.0, 4.0, lambda t, v: v, IntegratorConfig())
+    for t0, t1 in ((5.0, 4.0), (0.0, math.nan), (0.0, math.inf), (math.nan, 1.0),
+                   (-math.inf, 0.0)):
+        with pytest.raises(ValueError):
+            integrate_segment(y0, t0, t1, lambda t, v: v, IntegratorConfig(max_steps=10))
 
 
 def test_determinism_bit_identical():

@@ -17,11 +17,17 @@ from glzi.scan import (
     cmd_heatmap,
     cmd_oracle_check,
     cmd_squeeze_bench,
+    integrator_from,
     load_config,
     noise_from,
     oracle_report,
     protocol_for,
+    sweep,
+    tau_p_grid,
+    theta_grid,
 )
+from glzi.protocol import run_classical, run_quantum
+from glzi.states import BatterySpec
 
 FAST = ["--set", "grid.theta_count=5", "--workers", "1"]
 
@@ -61,9 +67,20 @@ def test_load_config_rejects_bad_input(tmp_path):
                  "protocol.omega_mhz=inf", "noise.gamma1_per_ns=nan",
                  "noise.gamma_phi_per_ns=-inf", "grid.nbar_list=1,inf",
                  "integrator.h_init_ns=nan", "noise.t1_ns=-1",
-                 "integrator.h_min_ns=1", "grid.tau_p_min_ns=0", "grid.nbar_list=1,-1"):
+                 "integrator.h_min_ns=1", "grid.tau_p_min_ns=0", "grid.nbar_list=1,-1",
+                 "integrator.max_steps=0"):
         with pytest.raises(ConfigError):
             load_config("fringe", overrides=[pair], out_dir=tmp_path)
+    # squeeze-bench builds every r at every nbar: sinh^2(r) >= nbar has no displacement
+    for pairs in (["grid.nbar_list=1", "grid.r_list=3"],
+                  ["grid.nbar_list=5,1", "grid.r_list=0.5,0.9"],
+                  ["grid.r_list=-0.1"], ["grid.q_list=0"]):
+        with pytest.raises(ConfigError):
+            load_config("squeeze-bench", overrides=pairs, out_dir=tmp_path)
+    load_config("squeeze-bench", overrides=["grid.nbar_list=1", "grid.r_list=0.88"],
+                out_dir=tmp_path)
+    # other experiments ignore grid.r_list
+    load_config("fringe", overrides=["grid.nbar_list=0.1"], out_dir=tmp_path)
 
 
 def test_config_file_parsing(tmp_path):
@@ -170,7 +187,7 @@ def test_cmd_backaction_control_row(tmp_path, monkeypatch):
     assert abs(float(row[1])) < 1e-10
     assert abs(float(row[2])) < 1e-10
     timings = json.loads(files[0].with_suffix(".json").read_text())["timings"]
-    assert timings["n_runs"] == 1 * 5
+    assert timings["n_runs"] == 3  # the harmonic probes, not the 5 grid points
 
 
 def test_cmd_squeeze_bench_rows(tmp_path):
@@ -185,7 +202,9 @@ def test_cmd_squeeze_bench_rows(tmp_path):
     assert all(float(r[4]) <= 0.0 for r in rows)
 
 
-def test_each_scan_is_one_sweep(tmp_path, monkeypatch):
+@pytest.fixture
+def task_counts(monkeypatch):
+    """Sizes of the run_tasks calls glzi.scan makes."""
     sizes = []
     original = glzi.scan.run_tasks
 
@@ -194,7 +213,12 @@ def test_each_scan_is_one_sweep(tmp_path, monkeypatch):
         return original(tasks, workers)
 
     monkeypatch.setattr(glzi.scan, "run_tasks", counting)
-    grid = ("grid.theta_count=3", "grid.nbar_list=1,2")
+    return sizes
+
+
+def test_each_scan_is_one_sweep(tmp_path, task_counts):
+    # 3 grid angles run directly, 7 through the 3 harmonic probes: either way
+    # 3 cycles per battery (x tau_p count)
     cases = [  # (command, experiment, extra overrides, cycles)
         (cmd_fringe, "fringe", (), 3 * 3),
         (cmd_heatmap, "heatmap", ("grid.tau_p_count=2",), 3 * 3 * 2),
@@ -203,10 +227,57 @@ def test_each_scan_is_one_sweep(tmp_path, monkeypatch):
         (cmd_squeeze_bench, "squeeze-bench", ("grid.r_list=0.25", "grid.q_list=0.5"),
          2 * 3 * 3),
     ]
-    for cmd, experiment, extra, cycles in cases:
-        sizes.clear()
-        cmd(cfg_for(experiment, tmp_path / experiment, *grid, *extra))
-        assert sizes == [cycles], experiment
+    for n_theta in (3, 7):
+        grid = (f"grid.theta_count={n_theta}", "grid.nbar_list=1,2")
+        for cmd, experiment, extra, cycles in cases:
+            task_counts.clear()
+            cmd(cfg_for(experiment, tmp_path / f"{experiment}{n_theta}", *grid, *extra))
+            assert task_counts == [cycles], (experiment, n_theta)
+
+
+def _direct(cfg, battery, taus=(None,)):
+    """Reference: one integrated cycle per grid point, theta-outer."""
+    noise, icfg = noise_from(cfg), integrator_from(cfg)
+    results = []
+    for theta in theta_grid(cfg):
+        for tau_p in taus:
+            p = protocol_for(cfg, float(theta), nbar=battery.nbar if battery else None,
+                             tau_p=tau_p)
+            results.append(run_classical(p, noise, icfg) if battery is None else
+                           run_quantum(p, battery.with_phase(p.phi_batt), noise, icfg))
+    return results
+
+
+def _assert_matches_direct(cfg, batteries, taus=(None,)):
+    for battery, sw in zip(batteries, sweep(cfg, batteries, taus)):
+        assert len(sw.runs) == 3 * len(taus)
+        direct = _direct(cfg, battery, taus)
+        assert len(sw.points) == len(direct)
+        for (task, got), want in zip(sw.points, direct):
+            assert abs(got.p_e - want.p_e) <= 1e-7, (battery, task.params)
+            for name in ("delta_n", "var_n_final", "var_n_initial", "eta_coh_initial"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (math.isnan(a) and math.isnan(b)) or abs(a - b) <= 1e-7, name
+            assert math.isnan(got.a_mean_final.real)  # not second-harmonic
+
+
+def test_sweep_reconstruction_matches_direct_integration(tmp_path):
+    cfg = cfg_for("fringe", tmp_path, "grid.theta_count=13", "grid.nbar_list=2")
+    _assert_matches_direct(cfg, [BatterySpec.coherent(2.0),
+                                 BatterySpec.displaced_squeezed(2.0, 0.35),
+                                 BatterySpec.number_squeezed(2.0, 0.5), None])
+    cut = cfg_for("heatmap", tmp_path, "grid.theta_count=4", "grid.tau_p_count=3",
+                  "grid.nbar_list=2")
+    _assert_matches_direct(cut, [None, BatterySpec.coherent(2.0)], tau_p_grid(cut))
+
+
+def test_sweep_fixed_squeezing_angle_runs_every_point(tmp_path, task_counts):
+    cfg = cfg_for("fringe", tmp_path, "grid.theta_count=5", "grid.nbar_list=2")
+    angle = BatterySpec.displaced_squeezed(2.0, 0.35, alignment="angle", theta_s=0.3)
+    fixed, locked = sweep(cfg, [angle, BatterySpec.coherent(2.0)])
+    assert task_counts == [5 + 3]
+    assert len(fixed.runs) == 5 and len(locked.runs) == 3
+    assert [r for _, r in fixed.points] == [r for _, r, _ in fixed.runs]
 
 
 def test_oracle_check_report(tmp_path):
@@ -216,7 +287,7 @@ def test_oracle_check_report(tmp_path):
     assert doc["n_checks"] >= 12
     assert doc["n_failed"] == 0
     names = {c["name"] for c in doc["checks"]}
-    assert "sector_decomposition_vs_simulation" in names
+    assert {"sector_decomposition_vs_simulation", "fringe_is_second_harmonic"} <= names
     for chk in doc["checks"]:
         assert set(chk) == {"name", "defect", "threshold", "passed"}
 
@@ -255,6 +326,13 @@ def test_cli_exit_codes(tmp_path, capsys):
                 "--set", "grid.nbar_list=1"])
     assert nan == 2
     assert not (tmp_path / "nan").exists()
+
+    for experiment, *pairs in (("squeeze-bench", "grid.nbar_list=1", "grid.r_list=3"),
+                               ("fringe", "integrator.max_steps=0")):
+        out = tmp_path / f"late-{experiment}"
+        args = [experiment, "--out", str(out), "--workers", "1"]
+        assert main(args + [x for pair in pairs for x in ("--set", pair)]) == 2
+        assert not out.exists()
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
