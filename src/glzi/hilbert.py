@@ -182,3 +182,18 @@ def check_density(rho: np.ndarray, tol_pos: float = 1e-7) -> DensityDiagnostics:
         min_eig=min_eig,
         positivity_violated=min_eig < -tol_pos,
     )
+
+
+def sector_min_eig(rho: np.ndarray) -> float:
+    """Smallest eigenvalue of the excitation-number-diagonal part of rho.
+
+    Keeping only the blocks of fixed total excitation N = n + s is a pinching,
+    which is a channel, so the result is >= the smallest eigenvalue of rho.
+    The blocks are 1x1 for |0,g> and |n_cut-1,e> and 2x2 on {|N-1,e>, |N,g>}
+    otherwise; P_e, <n> and <n^2> read this part of rho only.
+    """
+    pops = np.real(rho.diagonal())
+    e, g = pops[1:-1:2], pops[2::2]
+    off = np.abs(0.5 * (rho.diagonal(-1) + rho.diagonal(1).conj()))[1::2]
+    lam = 0.5 * (e + g) - np.hypot(0.5 * (e - g), off)
+    return float(min(pops[0], pops[-1], lam.min(initial=np.inf)))

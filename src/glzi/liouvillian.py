@@ -8,7 +8,9 @@ dissipator D[L] becomes
 
 Superoperators are stored sparse (CSR); at the largest battery occupations
 used here the Liouville dimension reaches ~10^4 and the generator stays far
-below percent fill.
+below percent fill.  A generator can be restricted to a subset of the vec(rho)
+entries that it never feeds from outside, such as a band of coherence orders
+of a generator that conserves the total excitation.
 """
 
 from __future__ import annotations
@@ -94,11 +96,42 @@ def dissipator_super(l_op: np.ndarray) -> sp.csr_matrix:
 
 @dataclass(frozen=True, eq=False)
 class Liouvillian:
-    """Static and detuning-proportional parts of the generator, both sparse."""
+    """Static and detuning-proportional parts of the generator, both sparse.
+
+    Both act on the entries kept of vec(rho), rho being dim x dim: all dim^2
+    of them for an assembled generator, a subset after restrict().
+    """
 
     dim: int
     l0: sp.csr_matrix
     l_delta: sp.csr_matrix
+    kept: np.ndarray
+
+
+def coherence_orders(n_tot: np.ndarray) -> np.ndarray:
+    """Coherence order N_row - N_col of each vec(rho) entry.
+
+    n_tot is a diagonal excitation-number operator; the result is an integer
+    array aligned with vectorize(rho).
+    """
+    n = np.rint(np.real(np.diagonal(n_tot))).astype(int)
+    return vectorize(n[:, None] - n[None, :])
+
+
+def restrict(lv: Liouvillian, kept: np.ndarray) -> Liouvillian:
+    """The assembled generator lv acting on the vec(rho) entries kept only.
+
+    Integrating the kept entries alone is exact only if no kept entry feeds a
+    dropped one; that is checked here, entry by entry, and a violation raises
+    DimensionMismatch.
+    """
+    dropped = np.ones(lv.dim ** 2, dtype=bool)
+    dropped[kept] = False
+    for gen in (lv.l0, lv.l_delta):
+        if gen[dropped][:, kept].count_nonzero():
+            raise DimensionMismatch("kept vec(rho) entries feed dropped ones")
+    return Liouvillian(dim=lv.dim, l0=lv.l0[kept][:, kept], l_delta=lv.l_delta[kept][:, kept],
+                       kept=kept)
 
 
 def assemble_lindblad(h0: np.ndarray, h_delta: np.ndarray,
@@ -111,7 +144,8 @@ def assemble_lindblad(h0: np.ndarray, h_delta: np.ndarray,
             raise InvalidNoise(f"negative dissipation rate {rate}")
         if rate > 0:
             l0 = l0 + rate * dissipator_super(l_op)
-    return Liouvillian(dim=dim, l0=l0.tocsr(), l_delta=hamiltonian_super(h_delta))
+    return Liouvillian(dim=dim, l0=l0.tocsr(), l_delta=hamiltonian_super(h_delta),
+                       kept=np.arange(dim * dim))
 
 
 def assemble(ops: JointOperators, g: float, noise: NoiseParams) -> Liouvillian:

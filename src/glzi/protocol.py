@@ -4,9 +4,10 @@ One cycle is a forward detuning sweep, a plateau split by an instantaneous
 qubit-only echo at tau_c/2, the remaining plateau, and the reverse sweep.
 Each stage is integrated separately and the density matrix is symmetrized
 and renormalized between stages.  The quantum run evolves the joint
-battery(x)qubit state with the exchange coupling g = Omega / (2 sqrt(nbar));
-the classical reference replaces the battery by a fixed transverse drive of
-the same mean gap and keeps only the qubit dissipators.
+battery(x)qubit state with the exchange coupling g = Omega / (2 sqrt(nbar)),
+integrating only the coherence orders that its outputs depend on; the
+classical reference replaces the battery by a fixed transverse drive of the
+same mean gap and keeps only the qubit dissipators.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .hilbert import (
     excited_population,
     partial_trace_battery,
     real_expectation,
+    sector_min_eig,
 )
 from .liouvillian import (
     Liouvillian,
@@ -34,8 +36,10 @@ from .liouvillian import (
     NoiseParams,
     assemble,
     assemble_lindblad,
+    coherence_orders,
     devectorize,
     mhz_to_rad_per_ns,
+    restrict,
     vectorize,
 )
 from .odeint import IntegratorConfig, integrate_segment, sanitize
@@ -125,7 +129,7 @@ class RunResult:
     a_mean_final: complex
     eta_coh_initial: float
     trace_defect: float
-    min_eig: float
+    min_eig: float  # quantum cycle: of the excitation-number-diagonal part
     segments: tuple[SegmentRecord, ...] = ()
 
     @property
@@ -138,6 +142,13 @@ class RunResult:
 def _assembled(n_cut: int, g: float, noise: NoiseParams):
     ops = build_operators(HilbertSpec(n_cut))
     return ops, assemble(ops, g, noise)
+
+
+@lru_cache(maxsize=64)
+def _order_band(n_cut: int, g: float, noise: NoiseParams, max_order: int) -> Liouvillian:
+    """The generator on the vec(rho) entries of coherence order |k| <= max_order."""
+    ops, lv = _assembled(n_cut, g, noise)
+    return restrict(lv, np.flatnonzero(np.abs(coherence_orders(ops.n_tot)) <= max_order))
 
 
 def _segment_plan(p: ProtocolParams) -> list[tuple[float, float, str]]:
@@ -153,19 +164,20 @@ def _segment_plan(p: ProtocolParams) -> list[tuple[float, float, str]]:
 
 def _evolve_protocol(
     rho: np.ndarray,
-    lv: Liouvillian,
+    before: Liouvillian,
+    after: Liouvillian,
     p: ProtocolParams,
     cfg: IntegratorConfig,
     echo_joint: np.ndarray | None,
     n_tot_op: np.ndarray | None,
     record: bool,
 ) -> tuple[np.ndarray, float, list[SegmentRecord]]:
-    """Run the staged evolution; returns (rho_final, max trace defect, log)."""
-    l0, ld = lv.l0, lv.l_delta
+    """Run the staged evolution; returns (rho_final, max trace defect, log).
 
-    def rhs(t, y):
-        return l0 @ y + detuning(t, p) * (ld @ y)
-
+    Segments up to tau_c/2 integrate the kept vec(rho) entries of `before`,
+    later ones those of `after`.  At every boundary the state is a full
+    matrix, zero outside the entries just integrated.
+    """
     def audit(label: str, t: float, state: np.ndarray) -> SegmentRecord:
         n_tot = real_expectation(state, n_tot_op) if n_tot_op is not None else float("nan")
         return SegmentRecord(label=label, t=t, n_tot=n_tot,
@@ -176,9 +188,15 @@ def _evolve_protocol(
     if record:
         log.append(audit("initial", 0.0, rho))
     trace_defect = 0.0
-    y = vectorize(rho)
     for t_a, t_b, name in _segment_plan(p):
-        y = integrate_segment(y, t_a, t_b, rhs, cfg)
+        lv = before if t_b <= t_mid + _TIME_TOL else after
+        l0, ld = lv.l0, lv.l_delta
+
+        def rhs(t, y):
+            return l0 @ y + detuning(t, p) * (ld @ y)
+
+        y = np.zeros(lv.dim ** 2, dtype=complex)
+        y[lv.kept] = integrate_segment(vectorize(rho)[lv.kept], t_a, t_b, rhs, cfg)
         rho = devectorize(y)
         trace_defect = max(trace_defect, abs(float(np.real(np.trace(rho))) - 1.0))
         rho = sanitize(rho)
@@ -188,8 +206,7 @@ def _evolve_protocol(
             rho = echo_joint @ rho @ echo_joint.conj().T
             if record:
                 log.append(audit("echo", t_b, rho))
-        y = vectorize(rho)
-    return devectorize(y), trace_defect, log
+    return rho, trace_defect, log
 
 
 def run_quantum(
@@ -207,9 +224,18 @@ def run_quantum(
     function itself accepts any battery so phase-covariance checks can
     decouple battery and echo angles.  simulate_constant_detuning is the
     frozen-detuning variant for oracle comparisons.
+
+    Only the coherence orders k = N_row - N_col (N = n + s) that reach an
+    output are integrated.  The generator and sanitize never mix orders and
+    the echo moves k by 0 or +-2, while P_e, <n>, <n^2>, the trace and the
+    audits read k = 0 and <a> reads k = 1: so |k| <= 3 is kept before the
+    echo and |k| <= 1 after it (|k| <= 1 throughout without the echo).
+    min_eig is therefore that of the k = 0 part, see sector_min_eig.
     """
     n_cut = compute_cutoff(battery)
-    ops, lv = _assembled(n_cut, p.g, noise)
+    ops, _ = _assembled(n_cut, p.g, noise)
+    after = _order_band(n_cut, p.g, noise, 1)
+    before = _order_band(n_cut, p.g, noise, 3) if apply_echo else after
     psi_b = build_state(battery, n_cut)
     psi = np.kron(psi_b, np.array([1.0, 0.0], dtype=complex))
     rho = np.outer(psi, psi.conj())
@@ -220,10 +246,9 @@ def run_quantum(
         echo_joint = np.kron(np.eye(n_cut, dtype=complex), echo_unitary(p.phi_echo))
 
     rho, trace_defect, log = _evolve_protocol(
-        rho, lv, p, cfg, echo_joint, ops.n_tot, record_segments)
+        rho, before, after, p, cfg, echo_joint, ops.n_tot, record_segments)
 
     obs_f = battery_observables(rho)
-    diag = check_density(rho)
     return RunResult(
         p_e=excited_population(rho),
         mean_n_initial=obs_i.mean_n,
@@ -233,7 +258,7 @@ def run_quantum(
         a_mean_final=obs_f.a_mean,
         eta_coh_initial=obs_i.eta_coh,
         trace_defect=trace_defect,
-        min_eig=diag.min_eig,
+        min_eig=sector_min_eig(rho),
         segments=tuple(log),
     )
 
@@ -267,7 +292,7 @@ def run_classical(
     echo = echo_unitary(p.phi_echo) if apply_echo else None
 
     rho, trace_defect, log = _evolve_protocol(
-        rho, lv, p, cfg, echo, None, record_segments)
+        rho, lv, lv, p, cfg, echo, None, record_segments)
     diag = check_density(rho)
     return RunResult(
         p_e=float(np.real(rho[1, 1])),

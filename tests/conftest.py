@@ -1,12 +1,11 @@
 import os
 
-import numpy as np
 import pytest
 
 from glzi.liouvillian import NoiseParams
 from glzi.metrics import contrast
 from glzi.protocol import ProtocolParams
-from glzi.scan import Task, run_tasks
+from glzi.scan import Task, load_config, run_tasks, sweep, theta_grid
 from glzi.odeint import IntegratorConfig
 from glzi.states import BatterySpec
 
@@ -35,15 +34,19 @@ def classical_fringe(thetas, noise, workers=WORKERS):
 
 
 @pytest.fixture(scope="session")
-def coherent_sweep(reference_noise):
+def coherent_sweep(tmp_path_factory):
     """Desk-scale quantum-to-classical sweep shared by the acceptance criteria.
 
-    41-point theta grid, reference noise set, coherent batteries nbar in
-    {2, 3, 5, 7.5, 10, 15}; returns (thetas, c_classical, {nbar: [RunResult]}).
+    41-point theta grid, reference noise set (the config defaults), coherent
+    batteries nbar in {2, 3, 5, 7.5, 10, 15}, run serially through
+    glzi.scan.sweep (three harmonic probes per battery plus the classical
+    fringe); returns (thetas, c_classical, {nbar: [RunResult]}).
     """
-    thetas = np.linspace(0.0, 2.0 * np.pi, 41)
-    c_cl = contrast([r.p_e for r in classical_fringe(thetas, reference_noise)])
-    per_nbar = {}
-    for nbar in (2.0, 3.0, 5.0, 7.5, 10.0, 15.0):
-        per_nbar[nbar] = fringe_results(nbar, thetas, reference_noise)
-    return thetas, c_cl, per_nbar
+    nbars = (2.0, 3.0, 5.0, 7.5, 10.0, 15.0)
+    cfg = load_config("fringe", overrides=["grid.theta_count=41",
+                                           "grid.nbar_list=" + ",".join(map(str, nbars))],
+                      out_dir=tmp_path_factory.mktemp("coherent_sweep"), workers=1)
+    *quantum, classical = sweep(cfg, [BatterySpec.coherent(nb) for nb in nbars] + [None])
+    c_cl = contrast([r.p_e for _, r in classical.points])
+    per_nbar = {nb: [r for _, r in sw.points] for nb, sw in zip(nbars, quantum)}
+    return theta_grid(cfg), c_cl, per_nbar

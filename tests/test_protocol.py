@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from glzi.errors import OutOfWindow
-from glzi.liouvillian import NoiseParams
+import glzi.protocol
+from glzi.errors import DimensionMismatch, OutOfWindow
+from glzi.hilbert import HilbertSpec, build_operators, check_density, sector_min_eig
+from glzi.liouvillian import NoiseParams, assemble, coherence_orders, restrict
+from glzi.odeint import IntegratorConfig
 from glzi.protocol import (
     ProtocolParams,
     detuning,
@@ -13,7 +17,7 @@ from glzi.protocol import (
     run_quantum,
     simulate_constant_detuning,
 )
-from glzi.states import BatterySpec
+from glzi.states import BatterySpec, build_state, compute_cutoff
 
 from conftest import classical_fringe, fringe_results
 
@@ -173,3 +177,111 @@ def test_run_quantum_without_echo_keeps_populations_conserved():
                       apply_echo=False, record_segments=True)
     n_tots = [s.n_tot for s in res.segments]
     assert max(n_tots) - min(n_tots) < 1e-9
+
+
+def _full_space(monkeypatch):
+    """Make run_quantum integrate every coherence order and report the full
+    state's smallest eigenvalue."""
+    monkeypatch.setattr(glzi.protocol, "_order_band",
+                        lambda n_cut, g, noise, max_order:
+                        glzi.protocol._assembled(n_cut, g, noise)[1])
+    monkeypatch.setattr(glzi.protocol, "sector_min_eig",
+                        lambda rho: check_density(rho).min_eig)
+
+
+@pytest.mark.parametrize("battery", [
+    BatterySpec.coherent(2.0),
+    BatterySpec.displaced_squeezed(2.0, 0.35),
+    BatterySpec.displaced_squeezed(2.0, 0.35, alignment="angle", theta_s=0.3),
+    BatterySpec.number_squeezed(2.0, 0.5),
+    BatterySpec.fock(2),
+], ids=lambda b: b.label())
+def test_restricted_orders_match_full_space(battery, monkeypatch):
+    noise = NoiseParams.from_times(118.0, 157.0, kappa=1e-4, nbar_th=0.1)
+    p = ProtocolParams(theta_geo=0.7, nbar=2.0, phi_echo=0.4)
+    battery = battery.with_phase(p.phi_batt)
+    for echo in (True, False):
+        kept = run_quantum(p, battery, noise, apply_echo=echo, record_segments=True)
+        with monkeypatch.context() as m:
+            _full_space(m)
+            full = run_quantum(p, battery, noise, apply_echo=echo, record_segments=True)
+        for name in ("p_e", "mean_n_final", "var_n_final", "a_mean_final", "trace_defect"):
+            assert abs(getattr(kept, name) - getattr(full, name)) <= 1e-6, (name, echo)
+        assert [s.label for s in kept.segments] == [s.label for s in full.segments]
+        for a, b in zip(kept.segments, full.segments):
+            assert abs(a.n_tot - b.n_tot) <= 1e-6 and abs(a.p_e - b.p_e) <= 1e-6, a.label
+        assert full.min_eig >= -1e-7
+        assert kept.min_eig >= full.min_eig - 1e-12
+
+
+def test_restrict_refuses_an_open_index_set():
+    ops = build_operators(HilbertSpec(4))
+    lv = assemble(ops, 0.1, NoiseParams(gamma1=0.01, kappa=1e-3, nbar_th=0.2))
+    orders = coherence_orders(ops.n_tot)
+    band = restrict(lv, np.flatnonzero(np.abs(orders) <= 1))
+    assert band.l0.shape == (band.kept.size, band.kept.size)
+    with pytest.raises(DimensionMismatch):  # decay feeds the dropped |0,g> population
+        restrict(lv, np.flatnonzero(orders == 0)[1:])
+
+
+def test_sector_min_eig_is_the_pinched_spectrum():
+    rng = np.random.default_rng(7)
+    m = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
+    rho = m @ m.conj().T
+    rho /= np.trace(rho).real
+    n = (np.arange(10) + 1) // 2
+    pinched = np.where(n[:, None] == n[None, :], rho, 0.0)
+    assert sector_min_eig(rho) == pytest.approx(np.linalg.eigvalsh(pinched)[0], abs=1e-14)
+    assert sector_min_eig(rho) >= np.linalg.eigvalsh(rho)[0]
+
+
+def test_noiseless_cycle_matches_independent_pure_state_evolution():
+    # |psi_B> (x) |g> under H = g(a s+ + a^dag s-) + delta(t) sz/2 with scipy's
+    # DOP853, the pi pulse applied to the amplitudes at tau_c/2
+    for battery in (BatterySpec.coherent(2.0), BatterySpec.number_squeezed(3.0, 0.5)):
+        p = ProtocolParams(theta_geo=0.7, nbar=battery.nbar, phi_echo=0.4)
+        battery = battery.with_phase(p.phi_batt)
+        n_cut = compute_cutoff(battery)
+        a = np.diag(np.sqrt(np.arange(1.0, n_cut)), k=1)
+        s_plus = np.array([[0.0, 0.0], [1.0, 0.0]])  # |e><g|
+        h_jc = p.g * (np.kron(a, s_plus) + np.kron(a.T, s_plus.T))
+        h_z = np.kron(np.eye(n_cut), np.diag([-0.5, 0.5]))
+        flip = -1j * (np.exp(-1j * p.phi_echo) * s_plus + np.exp(1j * p.phi_echo) * s_plus.T)
+        d0, tp, tc = p.delta0, p.tau_p, p.tau_c
+
+        def delta(t):
+            if t <= tp:
+                return -d0 + 2.0 * d0 * t / tp
+            return d0 if t < tc - tp else d0 - 2.0 * d0 * (t - tc + tp) / tp
+
+        psi = np.kron(build_state(battery, n_cut), [1.0, 0.0]).astype(complex)
+        knots = (0.0, tp, tc / 2.0, tc - tp, tc)
+        for t_a, t_b in zip(knots, knots[1:]):
+            sol = solve_ivp(lambda t, y: -1j * ((h_jc + delta(t) * h_z) @ y), (t_a, t_b),
+                            psi, method="DOP853", rtol=1e-12, atol=1e-13)
+            psi = sol.y[:, -1]
+            if t_b == tc / 2.0:
+                psi = np.kron(np.eye(n_cut), flip) @ psi
+        pops = np.abs(psi) ** 2
+        res = run_quantum(p, battery, cfg=IntegratorConfig(rtol=1e-10, atol=1e-12))
+        assert abs(res.p_e - pops[1::2].sum()) < 1e-7
+        assert abs(res.mean_n_final - np.repeat(np.arange(n_cut), 2) @ pops) < 1e-7
+
+
+@pytest.mark.parametrize("battery", [
+    BatterySpec.coherent(15.0),
+    BatterySpec.displaced_squeezed(10.0, 0.5),
+    BatterySpec.number_squeezed(10.0, 0.5),
+], ids=lambda b: b.label())
+def test_cutoff_and_tolerance_convergence(battery, reference_noise, monkeypatch):
+    # the largest batteries the scans use: a wider Fock cutoff and a tighter
+    # integrator tolerance must not move P_e
+    p = ProtocolParams(theta_geo=0.7, nbar=battery.nbar)
+    battery = battery.with_phase(p.phi_batt)
+    base = run_quantum(p, battery, reference_noise).p_e
+    tight = run_quantum(p, battery, reference_noise, IntegratorConfig(rtol=2e-8)).p_e
+    assert abs(tight - base) < 1e-6
+    cutoff = glzi.protocol.compute_cutoff
+    monkeypatch.setattr(glzi.protocol, "compute_cutoff", lambda spec: cutoff(spec) + 8)
+    wider = run_quantum(p, battery, reference_noise).p_e
+    assert abs(wider - base) < 1e-7

@@ -4,12 +4,13 @@ import multiprocessing
 import os
 
 import pytest
+import scipy.linalg
 
 import glzi.oracle
 import glzi.scan
 from glzi.cli import main
 from glzi.errors import ConfigError
-from glzi.oracle import SectorAmplitudes
+from glzi.oracle import SectorAmplitudes, oracle_report
 from glzi.scan import (
     cmd_backaction,
     cmd_contrast_scan,
@@ -20,13 +21,12 @@ from glzi.scan import (
     integrator_from,
     load_config,
     noise_from,
-    oracle_report,
     protocol_for,
     sweep,
     tau_p_grid,
     theta_grid,
 )
-from glzi.protocol import run_classical, run_quantum
+from glzi.protocol import echo_unitary, run_classical, run_quantum
 from glzi.states import BatterySpec
 
 FAST = ["--set", "grid.theta_count=5", "--workers", "1"]
@@ -287,7 +287,8 @@ def test_oracle_check_report(tmp_path):
     assert doc["n_checks"] >= 12
     assert doc["n_failed"] == 0
     names = {c["name"] for c in doc["checks"]}
-    assert {"sector_decomposition_vs_simulation", "fringe_is_second_harmonic"} <= names
+    assert {"sector_decomposition_vs_simulation", "fringe_is_second_harmonic",
+            "generator_conserves_coherence_order"} <= names
     for chk in doc["checks"]:
         assert set(chk) == {"name", "defect", "threshold", "passed"}
 
@@ -302,6 +303,18 @@ def test_oracle_check_catches_sign_mutation(monkeypatch):
     monkeypatch.setattr(glzi.oracle, "sector_amplitudes", flipped)
     report = {c["name"]: c for c in oracle_report()}
     bad = report["sector_decomposition_vs_simulation"]
+    assert not bad["passed"]
+    assert bad["defect"] > 0.1
+
+
+def test_oracle_check_catches_order_mixing_echo(monkeypatch):
+    def half_pulse(phi):  # a pi/2 rotation moves the coherence order by +-1 too
+        return scipy.linalg.expm(math.pi / 4.0 * echo_unitary(phi))
+
+    monkeypatch.setattr(glzi.oracle, "echo_unitary", half_pulse)
+    report = {c["name"]: c for c in oracle_report()}
+    assert report["echo_moves_between_sectors"]["passed"]
+    bad = report["generator_conserves_coherence_order"]
     assert not bad["passed"]
     assert bad["defect"] > 0.1
 
