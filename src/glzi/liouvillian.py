@@ -17,12 +17,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DimensionMismatch, InvalidNoise
 from .hilbert import JointOperators, jc_coupling
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -80,6 +83,8 @@ def devectorize(v: np.ndarray) -> np.ndarray:
 
 def hamiltonian_super(h: np.ndarray) -> sp.csr_matrix:
     """Superoperator of rho -> -i[H, rho]."""
+    import scipy.sparse as sp  # deferred: importing glzi loads no scipy
+
     hs = sp.csr_matrix(h)
     eye = sp.identity(h.shape[0], dtype=complex, format="csr")
     return (-1j * (sp.kron(eye, hs) - sp.kron(hs.T, eye))).tocsr()
@@ -87,6 +92,8 @@ def hamiltonian_super(h: np.ndarray) -> sp.csr_matrix:
 
 def dissipator_super(l_op: np.ndarray) -> sp.csr_matrix:
     """Superoperator of rho -> L rho L^dag - {L^dag L, rho}/2."""
+    import scipy.sparse as sp
+
     ls = sp.csr_matrix(l_op)
     ldl = (ls.conj().T @ ls).tocsr()
     eye = sp.identity(l_op.shape[0], dtype=complex, format="csr")

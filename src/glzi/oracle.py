@@ -17,6 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import _blas
 from .errors import EnergyBudgetExceeded
 from .hilbert import HilbertSpec, build_operators, jc_coupling
 from .liouvillian import NoiseParams, assemble, coherence_orders, devectorize, vectorize
@@ -193,8 +194,12 @@ def _check(name: str, defect: float, threshold: float) -> dict:
             "passed": bool(defect <= threshold)}
 
 
+@_blas.one_thread()
 def oracle_report() -> list[dict]:
-    """Named invariant checks comparing the simulator against closed forms."""
+    """Named invariant checks comparing the simulator against closed forms.
+
+    Runs with every OpenBLAS pool pinned to one thread, as sweeps do.
+    """
     rng = np.random.default_rng(20260808)
     checks: list[dict] = []
     ops = build_operators(HilbertSpec(8))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import os
 import time
 import warnings
@@ -22,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import __version__, oracle, svgplot
+from . import __version__, _blas, oracle, svgplot
 from .errors import ConfigError, InvalidNoise
 from .liouvillian import NoiseParams, mhz_to_rad_per_ns
 from .metrics import backaction, contrast, contrast_deficit_fit
@@ -271,14 +272,14 @@ def _exec_task(task: Task):
 
 
 def run_tasks(tasks: list[Task], workers: int) -> list:
-    """Execute tasks serially or in a process pool.
+    """Execute tasks serially or in a process pool of one-BLAS-thread workers.
 
     Returns one (task, RunResult, seconds) triple per task, in input order.
     """
     if workers <= 1 or len(tasks) < 2:
         return [_exec_task(t) for t in tasks]
     chunk = max(1, len(tasks) // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=_blas.pin) as pool:
         return list(pool.map(_exec_task, tasks, chunksize=chunk))
 
 
@@ -293,10 +294,12 @@ class BatterySweep:
     points holds a (Task, RunResult) pair per theta (x tau_p) grid point,
     theta-outer; runs holds the run_tasks triples actually integrated, which
     are the grid points themselves or the three harmonic probes.
+    blas_threads is the OpenBLAS thread count of each pool while they ran.
     """
 
     points: list
     runs: list
+    blas_threads: dict
 
 
 def _harmonic_weights(thetas: np.ndarray) -> np.ndarray:
@@ -345,7 +348,8 @@ def sweep(cfg: ScanConfig, batteries: Sequence[BatterySpec | None],
     three or fewer angles, and batteries whose squeezing angle is fixed
     (alignment "angle") rather than locked to phi, are integrated point by
     point.  Tasks go battery-outer, theta, then tau_p, so cycles sharing a
-    generator run back to back.
+    generator run back to back.  Every OpenBLAS pool is pinned to one thread
+    while they run.
     """
     # an unwritable output directory fails before any cycle runs
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -366,7 +370,8 @@ def sweep(cfg: ScanConfig, batteries: Sequence[BatterySpec | None],
               for b in batteries]
     batches = [tasks_at(b, thetas[0] + _PROBES if fit else thetas)
                for b, fit in zip(batteries, fitted)]
-    done = run_tasks([t for batch in batches for t in batch], cfg.workers)
+    with _blas.one_thread() as blas_threads:
+        done = run_tasks([t for batch in batches for t in batch], cfg.workers)
     weights = _harmonic_weights(thetas)
     out, start = [], 0
     for battery, fit, batch in zip(batteries, fitted, batches):
@@ -377,7 +382,7 @@ def sweep(cfg: ScanConfig, batteries: Sequence[BatterySpec | None],
                               _fit_grid([r for _, r, _ in runs], weights, len(taus))))
         else:
             points = [(t, r) for t, r, _ in runs]
-        out.append(BatterySweep(points, runs))
+        out.append(BatterySweep(points, runs, blas_threads))
     return out
 
 
@@ -423,12 +428,24 @@ def _emit(cfg: ScanConfig, stem: str, header: Sequence[str], rows: list,
           plot: tuple | None = None) -> Path:
     """Write stem.csv and its sidecar, timed by the cycles integrated behind it.
 
+    The sidecar's runtime block gives the worker set-up, the OpenBLAS thread
+    count of each pool during the sweep (None if unknown) and the spread of
+    those cycles' seconds.
+
     plot is (svgplot function, *data, x_label, y_label), drawn with --svg.
     """
     path = cfg.out_dir / f"{stem}.csv"
     write_csv(path, header, rows)
     task_s = [s for sw in sweeps for _, _, s in sw.runs]
-    write_sidecar(path, cfg, sum(task_s), len(task_s), extra=extra)
+    runtime = {
+        "workers": cfg.workers,
+        "start_method": multiprocessing.get_start_method() if cfg.workers > 1 else None,
+        "blas_threads": sweeps[0].blas_threads,
+        "task_s": dict(zip(("p50", "p95", "max"),
+                           np.round(np.percentile(task_s, [50, 95, 100]), 4).tolist())),
+    }
+    write_sidecar(path, cfg, sum(task_s), len(task_s),
+                  extra={"runtime": runtime, **(extra or {})})
     if cfg.svg and plot is not None:
         draw, *args = plot
         draw(path.with_suffix(".svg"), *args, path.stem)

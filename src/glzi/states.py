@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     CutoffTooSmall,
@@ -174,6 +173,8 @@ def build_coherent(nbar: float, phi: float, n_cut: int) -> np.ndarray:
 
 def displacement_matrix(alpha: complex, n_cut: int) -> np.ndarray:
     """Truncated displacement operator exp(alpha a^dag - alpha* a)."""
+    from scipy.linalg import expm  # deferred: scipy loads at the first state that needs it
+
     a = destroy(n_cut)
     return expm(alpha * a.conj().T - np.conj(alpha) * a)
 

@@ -2,10 +2,14 @@ import json
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import scipy.linalg
 
+import glzi
 import glzi.oracle
 import glzi.scan
 from glzi.cli import main
@@ -128,6 +132,18 @@ def test_cmd_fringe_files_and_schema(tmp_path):
     sidecar = json.loads((tmp_path / "fringe_classical.json").read_text())
     assert sidecar["units"] == {"freq": "MHz (f)", "time": "ns"}
     assert "config" in sidecar and "version" in sidecar and "timings" in sidecar
+    _assert_runtime(sidecar["runtime"], workers=1, start_method=None)
+
+
+def _assert_runtime(runtime, workers, start_method):
+    assert set(runtime) == {"workers", "start_method", "blas_threads", "task_s"}
+    assert runtime["workers"] == workers
+    assert runtime["start_method"] == start_method
+    assert set(runtime["blas_threads"]) == {"numpy", "scipy"}
+    assert set(runtime["blas_threads"].values()) <= {1, None}
+    task_s = runtime["task_s"]
+    assert set(task_s) == {"p50", "p95", "max"}
+    assert 0.0 < task_s["p50"] <= task_s["p95"] <= task_s["max"]
 
 
 def test_cmd_fringe_deterministic_bytes(tmp_path):
@@ -140,6 +156,9 @@ def test_cmd_fringe_deterministic_bytes(tmp_path):
         cmd_fringe(cfg)
     name = "fringe_coherent_nbar2.csv"
     assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+    sidecar = json.loads((out_b / name).with_suffix(".json").read_text())
+    _assert_runtime(sidecar["runtime"], workers=2,
+                    start_method=multiprocessing.get_start_method())
 
 
 def test_cmd_heatmap_grid_order(tmp_path):
@@ -346,6 +365,23 @@ def test_cli_exit_codes(tmp_path, capsys):
         args = [experiment, "--out", str(out), "--workers", "1"]
         assert main(args + [x for pair in pairs for x in ("--set", pair)]) == 2
         assert not out.exists()
+
+
+def test_config_validation_loads_no_scipy(tmp_path):
+    # a fresh interpreter: importing glzi and checking a config, good or bad,
+    # must not pay for scipy, which loads at the first cycle
+    probe = (
+        "import sys, glzi.scan, glzi.cli\n"
+        "glzi.scan.load_config('fringe', overrides=['grid.theta_count=3'])\n"
+        "rc = glzi.cli.main(['fringe', '--out', sys.argv[1],\n"
+        "                    '--set', 'protocol.tau_p_ns=nan'])\n"
+        "print(rc, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(glzi.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "nan")], env=env,
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.split() == ["2", "[]"]
+    assert "config error" in out.stderr
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
