@@ -2,9 +2,10 @@
 
 Configuration is a flat key=value namespace (section-prefixed keys, all
 frequencies as ordinary frequencies in MHz, all times in ns).  Every scan is
-one sweep: a battery x theta (x tau_p) grid of independent echo cycles, run
-optionally across worker processes and returned in grid order, then reduced
-to the experiment's CSVs, so output bytes never depend on the worker count.
+one sweep: three probe echo cycles per battery (x tau_p), run optionally
+across worker processes, whose second-harmonic fit gives P_e and Delta n on
+the theta (x tau_p) grid; the experiment reduces those arrays to its CSVs, so
+output bytes never depend on the worker count.
 Floats are written with 12 significant digits.
 """
 
@@ -17,19 +18,19 @@ import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import __version__, _blas, oracle, svgplot
-from .errors import ConfigError, InvalidNoise
+from .errors import ConfigError, InvalidNoise, MeanUnreachable
 from .liouvillian import NoiseParams, mhz_to_rad_per_ns
 from .metrics import backaction, contrast, contrast_deficit_fit
 from .odeint import IntegratorConfig
-from .protocol import ProtocolParams, run_classical, run_quantum
-from .states import ALIGN_ANGLE, BatterySpec
+from .protocol import ProtocolParams, RunResult, run_classical, run_quantum
+from .states import ALIGN_ANGLE, BatterySpec, build_state
 
 EXPERIMENTS = ("fringe", "heatmap", "contrast-scan", "backaction",
                "squeeze-bench", "oracle-check")
@@ -187,7 +188,11 @@ def _validate(cfg: ScanConfig) -> None:
             raise ConfigError(str(exc)) from exc
     if cfg.experiment != "oracle-check" and not cfg.flist("grid.nbar_list"):
         raise ConfigError("grid.nbar_list must not be empty")
-    if cfg.experiment == "squeeze-bench":  # the state builders' checks, in closed form
+    labels = [BatterySpec.coherent(nbar).label() for nbar in cfg.flist("grid.nbar_list")]
+    if len(set(labels)) < len(labels):  # their files would overwrite each other
+        raise ConfigError(f"grid.nbar_list={cfg.values['grid.nbar_list']!r} gives two "
+                          f"batteries the same label")
+    if cfg.experiment == "squeeze-bench":  # the state builders' checks
         if any(r < 0 for r in cfg.flist("grid.r_list")):
             raise ConfigError("grid.r_list entries must be >= 0")
         if any(q <= 0 for q in cfg.flist("grid.q_list")):
@@ -197,6 +202,12 @@ def _validate(cfg: ScanConfig) -> None:
                 if r >= math.asinh(math.sqrt(nbar)):  # sinh^2(r) >= nbar
                     raise ConfigError(f"squeezing r={r:g} uses the whole energy "
                                       f"budget of nbar={nbar:g} (sinh^2(r) >= nbar)")
+            for q in cfg.flist("grid.q_list"):  # numpy only, about 0.3 ms each
+                try:
+                    build_state(BatterySpec.number_squeezed(nbar, q))
+                except MeanUnreachable as exc:
+                    raise ConfigError(f"number squeezing q={q:g} at nbar={nbar:g}: "
+                                      f"{exc}") from exc
 
 
 def protocol_for(cfg: ScanConfig, theta: float = 0.0,
@@ -289,15 +300,18 @@ _PROBES = np.array([0.0, math.pi / 3.0, 2.0 * math.pi / 3.0])
 
 @dataclass(frozen=True)
 class BatterySweep:
-    """One battery's grid and the cycles integrated for it.
+    """One battery's fringe on the theta x tau_p grid and the cycles behind it.
 
-    points holds a (Task, RunResult) pair per theta (x tau_p) grid point,
-    theta-outer; runs holds the run_tasks triples actually integrated, which
-    are the grid points themselves or the three harmonic probes.
-    blas_threads is the OpenBLAS thread count of each pool while they ran.
+    p_e and delta_n have shape (theta count, tau_p count), theta-outer;
+    delta_n is NaN for the classical reference.  initial is the first probe's
+    RunResult, read for the phase-invariant initial statistics.  runs holds
+    the run_tasks triples of the three harmonic probes (x tau_p), and
+    blas_threads the OpenBLAS thread count of each pool while they ran.
     """
 
-    points: list
+    p_e: np.ndarray
+    delta_n: np.ndarray
+    initial: RunResult
     runs: list
     blas_threads: dict
 
@@ -314,26 +328,6 @@ def _harmonic_weights(thetas: np.ndarray) -> np.ndarray:
     return basis(thetas) @ np.linalg.inv(basis(thetas[0] + _PROBES))
 
 
-def _fit_grid(probes: list, weights: np.ndarray, n_tau: int) -> list:
-    """Evaluate the probes' second-harmonic fit on the theta x tau_p grid.
-
-    probes are probe-outer, tau_p inner.  Var(n)_final is quadratic in the
-    state, so it comes from the fitted <n> and <n^2>.  Phase-invariant initial
-    statistics come from the first probe; per-cycle fields that are not
-    reconstructed (<a>_final, trace defect, minimum eigenvalue) are NaN.
-    """
-    def fit(values):
-        return weights @ np.asarray(values).reshape(3, n_tau)
-
-    p_e = fit([r.p_e for r in probes])
-    mean = fit([r.mean_n_final for r in probes])
-    var = fit([r.var_n_final + r.mean_n_final ** 2 for r in probes]) - mean ** 2
-    return [replace(probes[j], p_e=float(p_e[i, j]), mean_n_final=float(mean[i, j]),
-                    var_n_final=float(var[i, j]), a_mean_final=complex(math.nan, math.nan),
-                    trace_defect=math.nan, min_eig=math.nan, segments=())
-            for i in range(len(weights)) for j in range(n_tau)]
-
-
 def sweep(cfg: ScanConfig, batteries: Sequence[BatterySpec | None],
           taus: Sequence[float | None] = (None,)) -> list[BatterySweep]:
     """Run every battery over the theta (x tau_p) grid in one run_tasks call.
@@ -341,48 +335,44 @@ def sweep(cfg: ScanConfig, batteries: Sequence[BatterySpec | None],
     Battery phases are locked to phi = theta_geo - pi/2; None is the classical
     reference.  theta enters a cycle only through phi, and the generator, the
     dissipators and sanitize keep the total-excitation coherence order while
-    the qubit-only echo moves it by 0 or +-2, so P_e, <n>_final and
-    <n^2>_final are exactly A0 + A2c cos 2phi + A2s sin 2phi.  Each battery
-    (and each tau_p column) is therefore integrated at three probe angles
-    theta_0 + {0, pi/3, 2pi/3} and the fit is evaluated on the grid.  Grids of
-    three or fewer angles, and batteries whose squeezing angle is fixed
-    (alignment "angle") rather than locked to phi, are integrated point by
-    point.  Tasks go battery-outer, theta, then tau_p, so cycles sharing a
-    generator run back to back.  Every OpenBLAS pool is pinned to one thread
-    while they run.
+    the qubit-only echo moves it by 0 or +-2, so P_e and <n>_final are exactly
+    A0 + A2c cos 2phi + A2s sin 2phi.  Each battery (and each tau_p column) is
+    therefore integrated at three probe angles theta_0 + {0, pi/3, 2pi/3} and
+    the fit is evaluated on the grid, whatever its size.  A battery whose
+    squeezing angle is fixed (alignment "angle") does not rotate with phi and
+    is refused before any cycle runs.  Tasks go battery-outer, probe, then
+    tau_p, so cycles sharing a generator run back to back.  Every OpenBLAS
+    pool is pinned to one thread while they run.
     """
+    if any(b is not None and b.alignment == ALIGN_ANGLE for b in batteries):
+        raise ValueError("a battery with a fixed squeezing angle (alignment 'angle') "
+                         "does not rotate with theta_geo; sweep locks every battery")
     # an unwritable output directory fails before any cycle runs
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     noise, icfg = noise_from(cfg), integrator_from(cfg)
     thetas = theta_grid(cfg)
-
-    def tasks_at(battery, angles):
+    tasks = []
+    for battery in batteries:
         nbar = None if battery is None else battery.nbar
-        tasks = []
-        for th in angles:
+        for th in thetas[0] + _PROBES:
             for tp in taus:
                 p = protocol_for(cfg, float(th), nbar=nbar, tau_p=tp)
                 locked = None if battery is None else battery.with_phase(p.phi_batt)
                 tasks.append(Task(p, locked, noise, icfg))
-        return tasks
-
-    fitted = [len(thetas) > len(_PROBES) and (b is None or b.alignment != ALIGN_ANGLE)
-              for b in batteries]
-    batches = [tasks_at(b, thetas[0] + _PROBES if fit else thetas)
-               for b, fit in zip(batteries, fitted)]
     with _blas.one_thread() as blas_threads:
-        done = run_tasks([t for batch in batches for t in batch], cfg.workers)
+        done = run_tasks(tasks, cfg.workers)
     weights = _harmonic_weights(thetas)
-    out, start = [], 0
-    for battery, fit, batch in zip(batteries, fitted, batches):
-        runs = done[start:start + len(batch)]
-        start += len(batch)
-        if fit:
-            points = list(zip(tasks_at(battery, thetas),
-                              _fit_grid([r for _, r, _ in runs], weights, len(taus))))
-        else:
-            points = [(t, r) for t, r, _ in runs]
-        out.append(BatterySweep(points, runs, blas_threads))
+
+    def fit(runs, name):  # probe-outer, tau_p inner -> theta x tau_p
+        return weights @ np.array([getattr(r, name) for _, r, _ in runs]).reshape(3, -1)
+
+    out, per_battery = [], 3 * len(taus)
+    for start in range(0, len(done), per_battery):
+        runs = done[start:start + per_battery]
+        initial = runs[0][1]
+        out.append(BatterySweep(fit(runs, "p_e"),
+                                initial.mean_n_initial - fit(runs, "mean_n_final"),
+                                initial, runs, blas_threads))
     return out
 
 
@@ -460,16 +450,18 @@ def _coherent(cfg: ScanConfig) -> list[BatterySpec]:
 
 def cmd_fringe(cfg: ScanConfig) -> list[Path]:
     """One CSV per coherent battery plus the classical baseline."""
+    thetas = theta_grid(cfg)
     batteries = _coherent(cfg) + [None]
     written = []
     for battery, sw in zip(batteries, sweep(cfg, batteries)):
-        rows = [(t.params.theta_geo, r.p_e, r.delta_n, r.var_n_initial, r.eta_coh_initial)
-                for t, r in sw.points]
+        init = sw.initial
+        rows = [(th, pe, dn, init.var_n_initial, init.eta_coh_initial)
+                for th, pe, dn in zip(thetas, sw.p_e[:, 0], sw.delta_n[:, 0])]
         written.append(_emit(
             cfg, f"fringe_{battery.label() if battery else 'classical'}",
             ["theta_geo", "P_e", "delta_n", "var_n_init", "eta_coh_init"], rows, [sw],
-            plot=(svgplot.line_plot_svg, [row[0] for row in rows],
-                  {"P_e": [row[1] for row in rows]}, "theta_geo (rad)", "P_e")))
+            plot=(svgplot.line_plot_svg, thetas, {"P_e": sw.p_e[:, 0]},
+                  "theta_geo (rad)", "P_e")))
     return written
 
 
@@ -478,20 +470,17 @@ def cmd_heatmap(cfg: ScanConfig) -> list[Path]:
     thetas, taus = theta_grid(cfg), tau_p_grid(cfg)
     batteries = [None] + _coherent(cfg)
     sweeps = sweep(cfg, batteries, taus)
-    p_cl = np.array([r.p_e for _, r in sweeps[0].points])
     written = []
     for battery, sw in zip(batteries, sweeps):
-        p_e = np.array([r.p_e for _, r in sw.points])
         extra = None if battery is None else {
-            "max_abs_diff_vs_classical": float(np.max(np.abs(p_e - p_cl))),
+            "max_abs_diff_vs_classical": float(np.max(np.abs(sw.p_e - sweeps[0].p_e))),
             "min_eigenvalue": float(min(r.min_eig for _, r, _ in sw.runs)),
         }
-        rows = [(t.params.theta_geo, t.params.tau_p, r.p_e) for t, r in sw.points]
+        rows = [(th, tp, pe) for th, row in zip(thetas, sw.p_e) for tp, pe in zip(taus, row)]
         written.append(_emit(
             cfg, f"heatmap_{battery.label() if battery else 'classical'}",
             ["theta_geo", "tau_p", "P_e"], rows, [sw], extra,
-            plot=(svgplot.heatmap_svg, thetas, taus,
-                  p_e.reshape(len(thetas), len(taus)).tolist(),
+            plot=(svgplot.heatmap_svg, thetas, taus, sw.p_e.tolist(),
                   "theta_geo (rad)", "tau_p (ns)")))
     return written
 
@@ -500,10 +489,10 @@ def cmd_contrast_scan(cfg: ScanConfig) -> list[Path]:
     """Fringe contrast vs battery size, with the 1/nbar deficit fit."""
     batteries = [None] + _coherent(cfg)
     sweeps = sweep(cfg, batteries)
-    c_cl = contrast([r.p_e for _, r in sweeps[0].points])
+    c_cl = contrast(sweeps[0].p_e)
     rows = []
     for battery, sw in zip(batteries[1:], sweeps[1:]):
-        c = contrast([r.p_e for _, r in sw.points])
+        c = contrast(sw.p_e)
         rows.append((battery.nbar, c, c_cl, c_cl - c, 1.0 / battery.nbar))
 
     fit_rows = [(nb, c) for nb, c, *_ in rows if nb >= 2.0]
@@ -530,7 +519,7 @@ def cmd_backaction(cfg: ScanConfig) -> list[Path]:
     sweeps = sweep(cfg, batteries)
     rows = []
     for battery, sw in zip(batteries, sweeps):
-        mean_dn, std_dn = backaction([r.delta_n for _, r in sw.points])
+        mean_dn, std_dn = backaction(sw.delta_n[:, 0])
         rows.append((battery.nbar, mean_dn, std_dn, mean_dn / battery.nbar))
     return [_emit(cfg, "backaction", ["nbar", "mean_delta_n", "std_delta_n", "rel_backaction"],
                   rows, sweeps,
@@ -552,12 +541,11 @@ def cmd_squeeze_bench(cfg: ScanConfig) -> list[Path]:
     sweeps = sweep(cfg, [battery for _, _, battery in entries])
     rows = []
     for (state_kind, r_or_q, battery), sw in zip(entries, sweeps):
-        c = contrast([r.p_e for _, r in sw.points])
+        c = contrast(sw.p_e)
         if state_kind == "coherent":
             c_coh = c
-        first = sw.points[0][1]
         rows.append((state_kind, battery.nbar, r_or_q, c, c - c_coh,
-                     first.var_n_initial, first.eta_coh_initial))
+                     sw.initial.var_n_initial, sw.initial.eta_coh_initial))
     return [_emit(cfg, "squeeze_bench", ["state_kind", "nbar", "r_or_q", "C", "delta_C",
                                          "var_n_init", "eta_coh_init"],
                   rows, sweeps)]

@@ -40,13 +40,11 @@ def coherent_sweep(tmp_path_factory):
     41-point theta grid, reference noise set (the config defaults), coherent
     batteries nbar in {2, 3, 5, 7.5, 10, 15}, run serially through
     glzi.scan.sweep (three harmonic probes per battery plus the classical
-    fringe); returns (thetas, c_classical, {nbar: [RunResult]}).
+    fringe); returns (thetas, c_classical, {nbar: BatterySweep}).
     """
     nbars = (2.0, 3.0, 5.0, 7.5, 10.0, 15.0)
     cfg = load_config("fringe", overrides=["grid.theta_count=41",
                                            "grid.nbar_list=" + ",".join(map(str, nbars))],
                       out_dir=tmp_path_factory.mktemp("coherent_sweep"), workers=1)
     *quantum, classical = sweep(cfg, [BatterySpec.coherent(nb) for nb in nbars] + [None])
-    c_cl = contrast([r.p_e for _, r in classical.points])
-    per_nbar = {nb: [r for _, r in sw.points] for nb, sw in zip(nbars, quantum)}
-    return theta_grid(cfg), c_cl, per_nbar
+    return theta_grid(cfg), contrast(classical.p_e), dict(zip(nbars, quantum))

@@ -119,7 +119,7 @@ def test_criterion_5_total_excitation_bookkeeping():
 def test_criterion_6_quantum_to_classical_recovery(coherent_sweep):
     thetas, c_cl, per_nbar = coherent_sweep
     nbars = sorted(per_nbar)
-    cs = {nb: contrast([r.p_e for r in per_nbar[nb]]) for nb in nbars}
+    cs = {nb: contrast(per_nbar[nb].p_e) for nb in nbars}
     monotone = all(cs[b] >= cs[a] - 1e-4 for a, b in zip(nbars, nbars[1:]))
     endpoints = cs[15.0] > cs[2.0]
     subset = [nb for nb in nbars if nb >= 3.0]
@@ -135,7 +135,7 @@ def test_criterion_7_backaction(coherent_sweep):
     nbars = sorted(per_nbar)
     means = {}
     for nb in nbars:
-        mean_dn, _ = backaction([r.delta_n for r in per_nbar[nb]])
+        mean_dn, _ = backaction(per_nbar[nb].delta_n[:, 0])
         means[nb] = mean_dn
     below_two = all(means[nb] < 2.0 for nb in nbars)
     rel = [means[nb] / nb for nb in nbars]

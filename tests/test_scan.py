@@ -78,9 +78,15 @@ def test_load_config_rejects_bad_input(tmp_path):
     # squeeze-bench builds every r at every nbar: sinh^2(r) >= nbar has no displacement
     for pairs in (["grid.nbar_list=1", "grid.r_list=3"],
                   ["grid.nbar_list=5,1", "grid.r_list=0.5,0.9"],
-                  ["grid.r_list=-0.1"], ["grid.q_list=0"]):
+                  ["grid.r_list=-0.1"], ["grid.q_list=0"],
+                  # no Gaussian center reaches a mean of 0.3 at width q * sqrt(0.3)
+                  ["grid.nbar_list=0.3", "grid.r_list=0.1", "grid.q_list=3"]):
         with pytest.raises(ConfigError):
             load_config("squeeze-bench", overrides=pairs, out_dir=tmp_path)
+    # batteries whose labels coincide would overwrite each other's files
+    for experiment, nbars in (("fringe", "2,2.0000001"), ("heatmap", "2,2")):
+        with pytest.raises(ConfigError, match="label"):
+            load_config(experiment, overrides=["grid.nbar_list=" + nbars], out_dir=tmp_path)
     load_config("squeeze-bench", overrides=["grid.nbar_list=1", "grid.r_list=0.88"],
                 out_dir=tmp_path)
     # other experiments ignore grid.r_list
@@ -236,8 +242,7 @@ def task_counts(monkeypatch):
 
 
 def test_each_scan_is_one_sweep(tmp_path, task_counts):
-    # 3 grid angles run directly, 7 through the 3 harmonic probes: either way
-    # 3 cycles per battery (x tau_p count)
+    # every grid runs the 3 harmonic probes: 3 cycles per battery (x tau_p count)
     cases = [  # (command, experiment, extra overrides, cycles)
         (cmd_fringe, "fringe", (), 3 * 3),
         (cmd_heatmap, "heatmap", ("grid.tau_p_count=2",), 3 * 3 * 2),
@@ -268,16 +273,17 @@ def _direct(cfg, battery, taus=(None,)):
 
 
 def _assert_matches_direct(cfg, batteries, taus=(None,)):
+    shape = (len(theta_grid(cfg)), len(taus))
     for battery, sw in zip(batteries, sweep(cfg, batteries, taus)):
         assert len(sw.runs) == 3 * len(taus)
+        assert sw.p_e.shape == sw.delta_n.shape == shape
         direct = _direct(cfg, battery, taus)
-        assert len(sw.points) == len(direct)
-        for (task, got), want in zip(sw.points, direct):
-            assert abs(got.p_e - want.p_e) <= 1e-7, (battery, task.params)
-            for name in ("delta_n", "var_n_final", "var_n_initial", "eta_coh_initial"):
-                a, b = getattr(got, name), getattr(want, name)
-                assert (math.isnan(a) and math.isnan(b)) or abs(a - b) <= 1e-7, name
-            assert math.isnan(got.a_mean_final.real)  # not second-harmonic
+        for got_pe, got_dn, want in zip(sw.p_e.ravel(), sw.delta_n.ravel(), direct):
+            assert abs(got_pe - want.p_e) <= 1e-7, battery
+            for a, b in ((got_dn, want.delta_n),
+                         (sw.initial.var_n_initial, want.var_n_initial),
+                         (sw.initial.eta_coh_initial, want.eta_coh_initial)):
+                assert (math.isnan(a) and math.isnan(b)) or abs(a - b) <= 1e-7, battery
 
 
 def test_sweep_reconstruction_matches_direct_integration(tmp_path):
@@ -288,15 +294,20 @@ def test_sweep_reconstruction_matches_direct_integration(tmp_path):
     cut = cfg_for("heatmap", tmp_path, "grid.theta_count=4", "grid.tau_p_count=3",
                   "grid.nbar_list=2")
     _assert_matches_direct(cut, [None, BatterySpec.coherent(2.0)], tau_p_grid(cut))
+    # a grid of fewer angles than probes goes through the probes as well
+    two = cfg_for("fringe", tmp_path, "grid.theta_count=2", "grid.nbar_list=2")
+    _assert_matches_direct(two, [BatterySpec.coherent(2.0), None])
 
 
-def test_sweep_fixed_squeezing_angle_runs_every_point(tmp_path, task_counts):
-    cfg = cfg_for("fringe", tmp_path, "grid.theta_count=5", "grid.nbar_list=2")
+def test_sweep_refuses_fixed_squeezing_angle(tmp_path, task_counts):
+    # a fixed squeezing angle does not rotate with theta_geo, so the probes'
+    # second-harmonic form does not hold for it
+    cfg = cfg_for("fringe", tmp_path / "out", "grid.theta_count=5", "grid.nbar_list=2")
     angle = BatterySpec.displaced_squeezed(2.0, 0.35, alignment="angle", theta_s=0.3)
-    fixed, locked = sweep(cfg, [angle, BatterySpec.coherent(2.0)])
-    assert task_counts == [5 + 3]
-    assert len(fixed.runs) == 5 and len(locked.runs) == 3
-    assert [r for _, r in fixed.points] == [r for _, r, _ in fixed.runs]
+    with pytest.raises(ValueError, match="angle"):
+        sweep(cfg, [BatterySpec.coherent(2.0), angle])
+    assert task_counts == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_oracle_check_report(tmp_path):
@@ -359,9 +370,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert nan == 2
     assert not (tmp_path / "nan").exists()
 
-    for experiment, *pairs in (("squeeze-bench", "grid.nbar_list=1", "grid.r_list=3"),
-                               ("fringe", "integrator.max_steps=0")):
-        out = tmp_path / f"late-{experiment}"
+    for i, (experiment, *pairs) in enumerate((
+            ("squeeze-bench", "grid.nbar_list=1", "grid.r_list=3"),
+            ("fringe", "integrator.max_steps=0"),
+            ("fringe", "grid.nbar_list=2,2.0000001", "grid.theta_count=4"),
+            ("heatmap", "grid.nbar_list=2,2"),
+            ("squeeze-bench", "grid.nbar_list=0.3", "grid.r_list=0.1",
+             "grid.q_list=3", "grid.theta_count=4"))):
+        out = tmp_path / f"late-{i}-{experiment}"
         args = [experiment, "--out", str(out), "--workers", "1"]
         assert main(args + [x for pair in pairs for x in ("--set", pair)]) == 2
         assert not out.exists()
@@ -373,6 +389,7 @@ def test_config_validation_loads_no_scipy(tmp_path):
     probe = (
         "import sys, glzi.scan, glzi.cli\n"
         "glzi.scan.load_config('fringe', overrides=['grid.theta_count=3'])\n"
+        "glzi.scan.load_config('squeeze-bench', overrides=['grid.theta_count=3'])\n"
         "rc = glzi.cli.main(['fringe', '--out', sys.argv[1],\n"
         "                    '--set', 'protocol.tau_p_ns=nan'])\n"
         "print(rc, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
