@@ -55,3 +55,7 @@ class DegenerateFit(GlziError):
 
 class ConfigError(GlziError):
     """Malformed configuration file, key, or value."""
+
+
+class SpotCheckFailed(GlziError):
+    """A sweep's closed-form values disagree with its forward spot cycle."""

@@ -106,7 +106,9 @@ class Liouvillian:
     """Static and detuning-proportional parts of the generator, both sparse.
 
     Both act on the entries kept of vec(rho), rho being dim x dim: all dim^2
-    of them for an assembled generator, a subset after restrict().
+    of them for an assembled generator, a subset after restrict().  l_delta
+    is diagonal (assemble_lindblad checks it), so a right-hand side is
+    l0 @ y + delta * (l_delta.diagonal() * y).
     """
 
     dim: int
@@ -143,8 +145,14 @@ def restrict(lv: Liouvillian, kept: np.ndarray) -> Liouvillian:
 
 def assemble_lindblad(h0: np.ndarray, h_delta: np.ndarray,
                       channels: list[tuple[float, np.ndarray]]) -> Liouvillian:
-    """Assemble L0 (Hamiltonian h0 plus weighted dissipators) and L_delta."""
+    """Assemble L0 (Hamiltonian h0 plus weighted dissipators) and L_delta.
+
+    h_delta must be diagonal, so that L_delta is diagonal too and a
+    right-hand side needs one sparse product (see Liouvillian).
+    """
     dim = h0.shape[0]
+    if np.count_nonzero(h_delta - np.diag(np.diagonal(h_delta))):
+        raise ValueError("h_delta must be diagonal")
     l0 = hamiltonian_super(h0)
     for rate, l_op in channels:
         if rate < 0:

@@ -21,8 +21,15 @@ from . import _blas
 from .errors import EnergyBudgetExceeded
 from .hilbert import HilbertSpec, build_operators, jc_coupling
 from .liouvillian import NoiseParams, assemble, coherence_orders, devectorize, vectorize
-from .protocol import ProtocolParams, echo_unitary, run_quantum, simulate_constant_detuning
-from .states import BatterySpec, build_state
+from .odeint import IntegratorConfig
+from .protocol import (
+    ProtocolParams,
+    echo_unitary,
+    heisenberg_observables,
+    run_quantum,
+    simulate_constant_detuning,
+)
+from .states import BatterySpec, build_state, compute_cutoff
 
 
 def sector_gap(n: int, g: float) -> float:
@@ -251,11 +258,11 @@ def oracle_report() -> list[dict]:
     checks.append(_check("generator_preserves_hermiticity", herm_defect, 1e-12))
 
     # run_quantum integrates only the coherence orders k = N_row - N_col its
-    # outputs read, and sweep fits a second harmonic: both rest on L0 and
+    # outputs read, and sweep's backward pass too: both rest on L0 and
     # L_delta never linking two orders and the echo moving k by 0 or +-2.
     # nbar_th > 0 switches every dissipator on.
-    lv_th = assemble(ops, g, NoiseParams(gamma1=0.01, gamma_phi=0.002, kappa=1e-4,
-                                         nbar_th=0.3))
+    noise_th = NoiseParams(gamma1=0.01, gamma_phi=0.002, kappa=1e-4, nbar_th=0.3)
+    lv_th = assemble(ops, g, noise_th)
     orders = coherence_orders(ops.n_tot)
     shift = orders[:, None] - orders[None, :]
     echo_super = np.kron(echo.conj(), echo)
@@ -263,6 +270,10 @@ def oracle_report() -> list[dict]:
                for gen in (lv_th.l0, lv_th.l_delta))
     leak = max(leak, float(np.max(np.abs(echo_super[(shift != 0) & (np.abs(shift) != 2)]))))
     checks.append(_check("generator_conserves_coherence_order", leak, 0.0))
+    # every right-hand side is l0 @ y + delta * (diagonal of L_delta) * y
+    ld = lv_th.l_delta.tocoo()
+    checks.append(_check("detuning_generator_is_diagonal",
+                         float(np.max(np.abs(ld.data[ld.row != ld.col]), initial=0.0)), 0.0))
 
     worst = 0.0
     for _ in range(50):
@@ -329,8 +340,8 @@ def oracle_report() -> list[dict]:
         worst = max(worst, abs(pe - ref.p_excited), abs(coh_ge - ref.coherence_ge))
     checks.append(_check("sector_decomposition_vs_simulation", worst, 1e-6))
 
-    # sweep's three-probe reconstruction rests on this: direct cycles at five
-    # locked phases fit A0 + A2c cos 2phi + A2s sin 2phi
+    # sweep's closed form in theta implies this: direct cycles at five locked
+    # phases fit A0 + A2c cos 2phi + A2s sin 2phi
     thetas = 0.1 + np.linspace(0.0, math.pi, 5, endpoint=False)
     runs = []
     for th in thetas:
@@ -343,4 +354,14 @@ def oracle_report() -> list[dict]:
         coef, *_ = np.linalg.lstsq(basis, values, rcond=None)
         worst = max(worst, float(np.max(np.abs(basis @ coef - values))))
     checks.append(_check("fringe_is_second_harmonic", worst, 1e-7))
+
+    # sweep's Heisenberg-picture pass against a tight forward cycle
+    battery = BatterySpec.displaced_squeezed(2.0, 0.3)
+    p = ProtocolParams(theta_geo=float(rng.uniform(0.0, math.pi)), nbar=2.0, phi_echo=0.4)
+    fwd = run_quantum(p, battery.with_phase(p.phi_batt), noise_th,
+                      IntegratorConfig(rtol=1e-11, atol=1e-13))
+    adj = heisenberg_observables(p, compute_cutoff(battery), noise_th).expectations(
+        battery.with_phase(0.0), np.array([p.phi_batt]))[0]
+    checks.append(_check("adjoint_matches_forward",
+                         max(abs(adj[0] - fwd.p_e), abs(adj[1] - fwd.mean_n_final)), 1e-7))
     return checks

@@ -8,6 +8,13 @@ battery(x)qubit state with the exchange coupling g = Omega / (2 sqrt(nbar)),
 integrating only the coherence orders that its outputs depend on; the
 classical reference replaces the battery by a fixed transverse drive of the
 same mean gap and keeps only the qubit dissipators.
+
+The Heisenberg-picture passes give the same outputs for many initial states
+at once: Tr(O Phi(rho0)) = Tr(Phi^dagger(O) rho0), so one backward
+integration of the observables serves every battery of one generator and
+every battery phase (heisenberg_observables), and one forward and one
+backward half-cycle serve every drive phase of the classical reference
+(classical_heisenberg).
 """
 
 from __future__ import annotations
@@ -151,6 +158,18 @@ def _order_band(n_cut: int, g: float, noise: NoiseParams, max_order: int) -> Lio
     return restrict(lv, np.flatnonzero(np.abs(coherence_orders(ops.n_tot)) <= max_order))
 
 
+@lru_cache(maxsize=64)
+def _adjoint_band(n_cut: int, g: float, noise: NoiseParams, max_order: int) -> Liouvillian:
+    """L^H on the order band |k| <= max_order: the band of L^H is that of L,
+    since L never links two orders."""
+    return _adjoint(_order_band(n_cut, g, noise, max_order))
+
+
+def _adjoint(lv: Liouvillian) -> Liouvillian:
+    return Liouvillian(dim=lv.dim, l0=lv.l0.conj().T.tocsr(),
+                       l_delta=lv.l_delta.conj().T.tocsr(), kept=lv.kept)
+
+
 def _segment_plan(p: ProtocolParams) -> list[tuple[float, float, str]]:
     t_mid = p.tau_c / 2.0
     plan = [
@@ -160,6 +179,31 @@ def _segment_plan(p: ProtocolParams) -> list[tuple[float, float, str]]:
         (p.tau_c - p.tau_p, p.tau_c, "sweep_out"),
     ]
     return [(a, b, name) for a, b, name in plan if b - a > _TIME_TOL]
+
+
+def _propagate(y: np.ndarray, lv: Liouvillian, p: ProtocolParams, t_a: float, t_b: float,
+               cfg: IntegratorConfig, backward: bool = False) -> np.ndarray:
+    """y carried over the protocol segment [t_a, t_b] by the generator lv.
+
+    Forward, dy/dt = L(t) y from t_a to t_b.  Backward, lv holds L^H and y
+    is carried by the adjoint of that segment's map: dX/ds = -L(s)^H X from
+    s = t_b down to t_a, integrated forwards in u = -s as dX/du = L(-u)^H X.
+    L_delta is diagonal, so each right-hand side is one sparse product.  y is
+    a vector of kept entries, or (entries, columns) for several at once.
+    """
+    shape = y.shape
+    l0, d = lv.l0, lv.l_delta.diagonal()
+    if y.ndim == 2:
+        d = d[:, None]
+    sign = -1.0 if backward else 1.0
+
+    def rhs(t, v):
+        v = v.reshape(shape)
+        return (l0 @ v + detuning(sign * t, p) * (d * v)).reshape(-1)
+
+    if backward:
+        t_a, t_b = -t_b, -t_a
+    return integrate_segment(y.reshape(-1), t_a, t_b, rhs, cfg).reshape(shape)
 
 
 def _evolve_protocol(
@@ -190,13 +234,8 @@ def _evolve_protocol(
     trace_defect = 0.0
     for t_a, t_b, name in _segment_plan(p):
         lv = before if t_b <= t_mid + _TIME_TOL else after
-        l0, ld = lv.l0, lv.l_delta
-
-        def rhs(t, y):
-            return l0 @ y + detuning(t, p) * (ld @ y)
-
         y = np.zeros(lv.dim ** 2, dtype=complex)
-        y[lv.kept] = integrate_segment(vectorize(rho)[lv.kept], t_a, t_b, rhs, cfg)
+        y[lv.kept] = _propagate(vectorize(rho)[lv.kept], lv, p, t_a, t_b, cfg)
         rho = devectorize(y)
         trace_defect = max(trace_defect, abs(float(np.real(np.trace(rho))) - 1.0))
         rho = sanitize(rho)
@@ -264,6 +303,15 @@ def run_quantum(
 
 
 _NAN = float("nan")
+_GROUND = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+
+
+def _classical_generator(omega: float, phi: float, noise: NoiseParams) -> Liouvillian:
+    qubit = build_operators(HilbertSpec(1))
+    h0 = 0.5 * omega * (np.exp(-1j * phi) * qubit.sigma_plus
+                        + np.exp(1j * phi) * qubit.sigma_minus)
+    return assemble_lindblad(h0, 0.5 * qubit.sigma_z, [(noise.gamma1, qubit.sigma_minus),
+                                                        (noise.gamma_phi / 2.0, qubit.sigma_z)])
 
 
 def run_classical(
@@ -280,19 +328,10 @@ def run_classical(
     with phi = theta_geo - pi/2, and only the qubit relaxation/dephasing
     channels.  Battery observables are reported as NaN sentinels.
     """
-    qubit = build_operators(HilbertSpec(1))
-    phi = p.phi_batt
-    h0 = 0.5 * p.omega * (np.exp(-1j * phi) * qubit.sigma_plus
-                          + np.exp(1j * phi) * qubit.sigma_minus)
-    lv = assemble_lindblad(h0, 0.5 * qubit.sigma_z, [(noise.gamma1, qubit.sigma_minus),
-                                                      (noise.gamma_phi / 2.0, qubit.sigma_z)])
-
-    rho = np.zeros((2, 2), dtype=complex)
-    rho[0, 0] = 1.0
+    lv = _classical_generator(p.omega, p.phi_batt, noise)
     echo = echo_unitary(p.phi_echo) if apply_echo else None
-
     rho, trace_defect, log = _evolve_protocol(
-        rho, lv, lv, p, cfg, echo, None, record_segments)
+        _GROUND.copy(), lv, lv, p, cfg, echo, None, record_segments)
     diag = check_density(rho)
     return RunResult(
         p_e=float(np.real(rho[1, 1])),
@@ -306,6 +345,108 @@ def run_classical(
         min_eig=diag.min_eig,
         segments=tuple(log),
     )
+
+
+_ORDERS = np.arange(-2, 3)
+
+
+@dataclass(frozen=True)
+class HeisenbergObservables:
+    """Phi^dagger(Pi_e) and Phi^dagger(n_b) of one echo cycle, at t = 0.
+
+    x holds them as two columns of vec entries `kept` of the joint matrix at
+    Fock cutoff n_cut; `orders` gives each entry's coherence order k.
+    """
+
+    n_cut: int
+    kept: np.ndarray
+    orders: np.ndarray
+    x: np.ndarray
+
+    def expectations(self, battery: BatterySpec, phis: np.ndarray) -> np.ndarray:
+        """(len(phis), 2) array of P_e and <n>_final from rho0(phi) for each phi.
+
+        rho0(0) = |psi_B><psi_B| (x) |g><g| is built from battery as given, at
+        its own cutoff and zero-padded, and rho0(phi) = e^{-i phi N} rho0(0)
+        e^{i phi N}: each entry of order k picks up e^{-i k phi}.  That is a
+        change of battery phase by phi for every battery that sweep accepts.
+        """
+        c = np.zeros(self.n_cut, dtype=complex)
+        psi_b = build_state(battery)
+        c[:psi_b.size] = psi_b
+        psi = np.kron(c, np.array([1.0, 0.0]))
+        rho0 = vectorize(np.outer(psi, psi.conj()))[self.kept]
+        terms = self.x.conj() * rho0[:, None]  # Tr(X rho) = vec(X)^H vec(rho), X Hermitian
+        per_order = np.stack([terms[self.orders == k].sum(axis=0) for k in _ORDERS])
+        return np.real(np.exp(-1j * np.outer(phis, _ORDERS)) @ per_order)
+
+
+def heisenberg_observables(p: ProtocolParams, n_cut: int, noise: NoiseParams = NOISELESS,
+                           cfg: IntegratorConfig = IntegratorConfig()) -> HeisenbergObservables:
+    """One backward integration of [Pi_e, n_b] through the echo cycle p.
+
+    Phi^dagger = S1^dagger S2^dagger E^dagger S3^dagger S4^dagger for the
+    segment maps S1..S4 and the echo E.  Phi^dagger keeps the coherence
+    order, as Phi does, and the adjoint echo O -> U^dagger O U moves it by
+    0 or +-2: from the k = 0 observables, the k = 0 band is integrated after
+    the echo and |k| <= 2 before it.  theta_geo of p is not used.
+    """
+    ops, _ = _assembled(n_cut, p.g, noise)
+    after = _adjoint_band(n_cut, p.g, noise, 0)
+    before = _adjoint_band(n_cut, p.g, noise, 2)
+    echo = np.kron(np.eye(n_cut, dtype=complex), echo_unitary(p.phi_echo))
+    x = np.column_stack([vectorize(ops.proj_e), vectorize(ops.n_op)])[after.kept]
+    lv = after
+    for t_a, t_b, _ in reversed(_segment_plan(p)):
+        if lv is after and t_b <= p.tau_c / 2.0 + _TIME_TOL:
+            full = np.zeros((ops.dim ** 2, 2), dtype=complex)
+            full[after.kept] = x
+            x = np.column_stack([vectorize(echo.conj().T @ devectorize(col) @ echo)
+                                 for col in full.T])[before.kept]
+            lv = before
+        x = _propagate(x, lv, p, t_a, t_b, cfg, backward=True)
+    orders = coherence_orders(ops.n_tot)[before.kept]
+    return HeisenbergObservables(n_cut=n_cut, kept=before.kept, orders=orders, x=x)
+
+
+@dataclass(frozen=True)
+class ClassicalHalves:
+    """The classical reference's cycle at drive phase 0, split at the echo:
+    rho(tau_c/2) from |g>, and Phi_after^dagger(Pi_e) at tau_c/2."""
+
+    rho_mid: np.ndarray
+    x_mid: np.ndarray
+    phi_echo: float
+
+    def expectations(self, battery: None, phis: np.ndarray) -> np.ndarray:
+        """(len(phis), 2) array of P_e and NaN at drive phases phis.
+
+        battery is None: the reference has none, and the call matches
+        HeisenbergObservables.expectations so that sweep treats both alike.
+        With R = e^{-i phi sigma_z/2}, the drive at phase phi is R H(0)
+        R^dagger and the echo at phi_echo is R U(phi_echo - phi) R^dagger,
+        while |g>, Pi_e and both qubit dissipators are R-invariant: so
+        P_e(phi, phi_echo) = P_e(0, phi_echo - phi).
+        """
+        p_e = [np.real(np.vdot(self.x_mid, u @ self.rho_mid @ u.conj().T))
+               for u in (echo_unitary(self.phi_echo - phi) for phi in phis)]
+        return np.column_stack([p_e, np.full(len(p_e), np.nan)])
+
+
+def classical_heisenberg(p: ProtocolParams, noise: NoiseParams = NOISELESS,
+                         cfg: IntegratorConfig = IntegratorConfig()) -> ClassicalHalves:
+    """One forward half-cycle of |g> and one backward half-cycle of Pi_e."""
+    lv = _classical_generator(p.omega, 0.0, noise)
+    adj = _adjoint(lv)
+    rho = vectorize(_GROUND)
+    x = vectorize(np.diag([0.0, 1.0]).astype(complex))
+    for t_a, t_b, _ in _segment_plan(p):
+        if t_b <= p.tau_c / 2.0 + _TIME_TOL:
+            rho = _propagate(rho, lv, p, t_a, t_b, cfg)
+    for t_a, t_b, _ in reversed(_segment_plan(p)):
+        if t_b > p.tau_c / 2.0 + _TIME_TOL:
+            x = _propagate(x, adj, p, t_a, t_b, cfg, backward=True)
+    return ClassicalHalves(devectorize(rho), devectorize(x), p.phi_echo)
 
 
 @dataclass(frozen=True)

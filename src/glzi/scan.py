@@ -2,10 +2,11 @@
 
 Configuration is a flat key=value namespace (section-prefixed keys, all
 frequencies as ordinary frequencies in MHz, all times in ns).  Every scan is
-one sweep: three probe echo cycles per battery (x tau_p), run optionally
-across worker processes, whose second-harmonic fit gives P_e and Delta n on
-the theta (x tau_p) grid; the experiment reduces those arrays to its CSVs, so
-output bytes never depend on the worker count.
+one sweep: per tau_p, one Heisenberg-picture pass per generator, plus one
+forward spot cycle per battery that checks it, run optionally across worker
+processes; the passes give P_e and Delta n on the theta (x tau_p) grid in
+closed form, and the experiment reduces those arrays to its CSVs, so output
+bytes never depend on the worker count.
 Floats are written with 12 significant digits.
 """
 
@@ -25,12 +26,19 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import __version__, _blas, oracle, svgplot
-from .errors import ConfigError, InvalidNoise, MeanUnreachable
+from .errors import ConfigError, InvalidNoise, MeanUnreachable, SpotCheckFailed
 from .liouvillian import NoiseParams, mhz_to_rad_per_ns
 from .metrics import backaction, contrast, contrast_deficit_fit
 from .odeint import IntegratorConfig
-from .protocol import ProtocolParams, RunResult, run_classical, run_quantum
-from .states import ALIGN_ANGLE, BatterySpec, build_state
+from .protocol import (
+    ProtocolParams,
+    RunResult,
+    classical_heisenberg,
+    heisenberg_observables,
+    run_classical,
+    run_quantum,
+)
+from .states import ALIGN_ANGLE, BatterySpec, build_state, compute_cutoff
 
 EXPERIMENTS = ("fringe", "heatmap", "contrast-scan", "backaction",
                "squeeze-bench", "oracle-check")
@@ -171,8 +179,9 @@ def _validate(cfg: ScanConfig) -> None:
             cfg.flist(key)
         else:
             cfg.f(key)
-    if cfg.i("grid.theta_count") < 2:
-        raise ConfigError("grid.theta_count must be >= 2")
+    if cfg.i("grid.theta_count") < 4:  # theta_grid spans [0, 2pi]
+        raise ConfigError("grid.theta_count must be >= 4: P_e has period pi in theta_geo, "
+                          "so 2 or 3 angles over [0, 2pi] sample one point of the fringe")
     if cfg.i("grid.tau_p_count") < 1:
         raise ConfigError("grid.tau_p_count must be >= 1")
     with warnings.catch_warnings():
@@ -265,28 +274,32 @@ def tau_p_grid(cfg: ScanConfig) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Task:
-    """One echo cycle; battery None runs the classical reference."""
+    """An echo cycle of battery (None: the classical reference), or with
+    adjoint set the Heisenberg-picture pass of the cycle params, at the Fock
+    cutoff of battery."""
 
     params: ProtocolParams
     battery: BatterySpec | None
     noise: NoiseParams
     icfg: IntegratorConfig
+    adjoint: bool = False
 
 
 def _exec_task(task: Task):
     t_start = time.perf_counter()
-    if task.battery is None:
-        res = run_classical(task.params, task.noise, task.icfg)
+    p, battery, noise, icfg = task.params, task.battery, task.noise, task.icfg
+    if task.adjoint:
+        res = (classical_heisenberg(p, noise, icfg) if battery is None else
+               heisenberg_observables(p, compute_cutoff(battery), noise, icfg))
     else:
-        res = run_quantum(task.params, task.battery, task.noise, task.icfg)
+        res = run_classical(p, noise, icfg) if battery is None else run_quantum(
+            p, battery, noise, icfg)
     return task, res, time.perf_counter() - t_start
 
 
 def run_tasks(tasks: list[Task], workers: int) -> list:
-    """Execute tasks serially or in a process pool of one-BLAS-thread workers.
-
-    Returns one (task, RunResult, seconds) triple per task, in input order.
-    """
+    """(task, result, seconds) of each task in input order, run serially or in
+    a process pool of one-BLAS-thread workers."""
     if workers <= 1 or len(tasks) < 2:
         return [_exec_task(t) for t in tasks]
     chunk = max(1, len(tasks) // (workers * 8))
@@ -294,19 +307,18 @@ def run_tasks(tasks: list[Task], workers: int) -> list:
         return list(pool.map(_exec_task, tasks, chunksize=chunk))
 
 
-# probe offsets from the first grid angle: 2*theta steps of 2pi/3
-_PROBES = np.array([0.0, math.pi / 3.0, 2.0 * math.pi / 3.0])
+SPOT_TOL = 1e-6  # largest |closed form - spot cycle| on P_e and Delta n
 
 
 @dataclass(frozen=True)
 class BatterySweep:
-    """One battery's fringe on the theta x tau_p grid and the cycles behind it.
+    """One battery's fringe on the theta x tau_p grid and the work behind it.
 
     p_e and delta_n have shape (theta count, tau_p count), theta-outer;
-    delta_n is NaN for the classical reference.  initial is the first probe's
+    delta_n is NaN for the classical reference.  initial is the spot cycle's
     RunResult, read for the phase-invariant initial statistics.  runs holds
-    the run_tasks triples of the three harmonic probes (x tau_p), and
-    blas_threads the OpenBLAS thread count of each pool while they ran.
+    the run_tasks triples of the passes (shared within a battery size) and of
+    the spot cycle; blas_threads each OpenBLAS pool's thread count meanwhile.
     """
 
     p_e: np.ndarray
@@ -316,33 +328,20 @@ class BatterySweep:
     blas_threads: dict
 
 
-def _harmonic_weights(thetas: np.ndarray) -> np.ndarray:
-    """(len(thetas), 3) map from the probe values to the theta grid.
-
-    With phi = theta - pi/2, the span of {1, cos 2phi, sin 2phi} is that of
-    {1, cos 2theta, sin 2theta}; the probes sit 2pi/3 apart in 2theta, so
-    the 3x3 system is well conditioned.
-    """
-    def basis(th):
-        return np.column_stack([np.ones_like(th), np.cos(2.0 * th), np.sin(2.0 * th)])
-    return basis(thetas) @ np.linalg.inv(basis(thetas[0] + _PROBES))
-
-
 def sweep(cfg: ScanConfig, batteries: Sequence[BatterySpec | None],
           taus: Sequence[float | None] = (None,)) -> list[BatterySweep]:
     """Run every battery over the theta (x tau_p) grid in one run_tasks call.
 
     Battery phases are locked to phi = theta_geo - pi/2; None is the classical
-    reference.  theta enters a cycle only through phi, and the generator, the
-    dissipators and sanitize keep the total-excitation coherence order while
-    the qubit-only echo moves it by 0 or +-2, so P_e and <n>_final are exactly
-    A0 + A2c cos 2phi + A2s sin 2phi.  Each battery (and each tau_p column) is
-    therefore integrated at three probe angles theta_0 + {0, pi/3, 2pi/3} and
-    the fit is evaluated on the grid, whatever its size.  A battery whose
-    squeezing angle is fixed (alignment "angle") does not rotate with phi and
-    is refused before any cycle runs.  Tasks go battery-outer, probe, then
-    tau_p, so cycles sharing a generator run back to back.  Every OpenBLAS
-    pool is pinned to one thread while they run.
+    reference.  Per tau_p, one Heisenberg-picture pass serves every battery
+    of one size (g = Omega / 2 sqrt(nbar) fixes the generator; the pass runs
+    at their largest Fock cutoff) at every phi in closed form, see
+    HeisenbergObservables; ClassicalHalves does the same for the reference.
+    A fixed squeezing angle (alignment "angle") does not rotate with phi and
+    is refused before any cycle runs.  One forward spot cycle per battery, at
+    theta_0 and the first tau_p, must match the closed form to SPOT_TOL on
+    P_e and Delta n, or SpotCheckFailed is raised.  Every OpenBLAS pool is
+    pinned to one thread meanwhile.
     """
     if any(b is not None and b.alignment == ALIGN_ANGLE for b in batteries):
         raise ValueError("a battery with a fixed squeezing angle (alignment 'angle') "
@@ -351,28 +350,30 @@ def sweep(cfg: ScanConfig, batteries: Sequence[BatterySpec | None],
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     noise, icfg = noise_from(cfg), integrator_from(cfg)
     thetas = theta_grid(cfg)
-    tasks = []
+    phis = thetas - math.pi / 2.0
+    groups: dict = {}  # battery size (g = Omega / 2 sqrt(nbar)) -> its batteries
     for battery in batteries:
-        nbar = None if battery is None else battery.nbar
-        for th in thetas[0] + _PROBES:
-            for tp in taus:
-                p = protocol_for(cfg, float(th), nbar=nbar, tau_p=tp)
-                locked = None if battery is None else battery.with_phase(p.phi_batt)
-                tasks.append(Task(p, locked, noise, icfg))
+        groups.setdefault(battery and battery.nbar, []).append(battery)
+    tasks = [Task(protocol_for(cfg, nbar=nbar, tau_p=tp),
+                  None if nbar is None else max(members, key=compute_cutoff), noise, icfg, True)
+             for nbar, members in groups.items() for tp in taus]
+    for battery in batteries:
+        p = protocol_for(cfg, float(thetas[0]), nbar=battery and battery.nbar, tau_p=taus[0])
+        tasks.append(Task(p, battery and battery.with_phase(p.phi_batt), noise, icfg))
     with _blas.one_thread() as blas_threads:
         done = run_tasks(tasks, cfg.workers)
-    weights = _harmonic_weights(thetas)
-
-    def fit(runs, name):  # probe-outer, tau_p inner -> theta x tau_p
-        return weights @ np.array([getattr(r, name) for _, r, _ in runs]).reshape(3, -1)
-
-    out, per_battery = [], 3 * len(taus)
-    for start in range(0, len(done), per_battery):
-        runs = done[start:start + per_battery]
-        initial = runs[0][1]
-        out.append(BatterySweep(fit(runs, "p_e"),
-                                initial.mean_n_initial - fit(runs, "mean_n_final"),
-                                initial, runs, blas_threads))
+        passes = {nbar: done[i * len(taus):(i + 1) * len(taus)] for i, nbar in enumerate(groups)}
+        out = []
+        for battery, spot in zip(batteries, done[len(groups) * len(taus):]):
+            runs, initial = passes[battery and battery.nbar], spot[1]
+            both = np.stack([r.expectations(battery and battery.with_phase(0.0), phis)
+                             for _, r, _ in runs], axis=1)  # theta x tau_p x (P_e, <n>)
+            p_e, delta_n = both[..., 0], initial.mean_n_initial - both[..., 1]
+            miss = np.abs([p_e[0, 0] - initial.p_e, delta_n[0, 0] - initial.delta_n])
+            if not np.all(miss[:1 if battery is None else 2] <= SPOT_TOL):  # NaN fails
+                raise SpotCheckFailed(f"{battery.label() if battery else 'classical'}: the "
+                                      f"sweep misses its spot cycle by {np.nanmax(miss):.3e}")
+            out.append(BatterySweep(p_e, delta_n, initial, [*runs, spot], blas_threads))
     return out
 
 
@@ -416,17 +417,16 @@ def write_sidecar(csv_path: Path, cfg: ScanConfig, wall_s: float, n_runs: int,
 def _emit(cfg: ScanConfig, stem: str, header: Sequence[str], rows: list,
           sweeps: list[BatterySweep], extra: dict | None = None,
           plot: tuple | None = None) -> Path:
-    """Write stem.csv and its sidecar, timed by the cycles integrated behind it.
+    """Write stem.csv and its sidecar, timed by the sweeps' tasks (each once).
 
     The sidecar's runtime block gives the worker set-up, the OpenBLAS thread
     count of each pool during the sweep (None if unknown) and the spread of
-    those cycles' seconds.
-
-    plot is (svgplot function, *data, x_label, y_label), drawn with --svg.
+    the tasks' seconds.  plot is (svgplot function, *data, x_label, y_label),
+    drawn with --svg.
     """
     path = cfg.out_dir / f"{stem}.csv"
     write_csv(path, header, rows)
-    task_s = [s for sw in sweeps for _, _, s in sw.runs]
+    task_s = [s for _, _, s in {id(run): run for sw in sweeps for run in sw.runs}.values()]
     runtime = {
         "workers": cfg.workers,
         "start_method": multiprocessing.get_start_method() if cfg.workers > 1 else None,
@@ -474,7 +474,7 @@ def cmd_heatmap(cfg: ScanConfig) -> list[Path]:
     for battery, sw in zip(batteries, sweeps):
         extra = None if battery is None else {
             "max_abs_diff_vs_classical": float(np.max(np.abs(sw.p_e - sweeps[0].p_e))),
-            "min_eigenvalue": float(min(r.min_eig for _, r, _ in sw.runs)),
+            "min_eigenvalue": float(sw.initial.min_eig),  # of the spot cycle
         }
         rows = [(th, tp, pe) for th, row in zip(thetas, sw.p_e) for tp, pe in zip(taus, row)]
         written.append(_emit(

@@ -39,8 +39,9 @@ def coherent_sweep(tmp_path_factory):
 
     41-point theta grid, reference noise set (the config defaults), coherent
     batteries nbar in {2, 3, 5, 7.5, 10, 15}, run serially through
-    glzi.scan.sweep (three harmonic probes per battery plus the classical
-    fringe); returns (thetas, c_classical, {nbar: BatterySweep}).
+    glzi.scan.sweep (one backward integration and one spot cycle per battery,
+    plus the classical fringe); returns (thetas, c_classical,
+    {nbar: BatterySweep}).
     """
     nbars = (2.0, 3.0, 5.0, 7.5, 10.0, 15.0)
     cfg = load_config("fringe", overrides=["grid.theta_count=41",

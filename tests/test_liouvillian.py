@@ -164,3 +164,12 @@ def test_assemble_rejects_negative_rate():
     with pytest.raises(InvalidNoise):
         assemble_lindblad(np.zeros((2, 2), complex), np.zeros((2, 2), complex),
                           [(-0.1, SIGMA_MINUS)])
+
+
+def test_assemble_requires_a_diagonal_detuning_term():
+    # every right-hand side scales the diagonal of L_delta, not a sparse product
+    lv = assemble(build_operators(HilbertSpec(4)), 0.1, NoiseParams(gamma1=0.01))
+    off = lv.l_delta.tocoo()
+    assert not np.any(off.data[off.row != off.col])
+    with pytest.raises(ValueError, match="diagonal"):
+        assemble_lindblad(np.zeros((2, 2), complex), SIGMA_MINUS + SIGMA_MINUS.T, [])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,9 @@ from glzi.odeint import IntegratorConfig
 from glzi.protocol import (
     ProtocolParams,
     detuning,
+    classical_heisenberg,
     echo_unitary,
+    heisenberg_observables,
     run_classical,
     run_quantum,
     simulate_constant_detuning,
@@ -285,3 +288,49 @@ def test_cutoff_and_tolerance_convergence(battery, reference_noise, monkeypatch)
     monkeypatch.setattr(glzi.protocol, "compute_cutoff", lambda spec: cutoff(spec) + 8)
     wider = run_quantum(p, battery, reference_noise).p_e
     assert abs(wider - base) < 1e-7
+
+
+TIGHT = IntegratorConfig(rtol=1e-11, atol=1e-13)
+
+
+@pytest.mark.parametrize("battery", [
+    BatterySpec.coherent(2.0),
+    BatterySpec.displaced_squeezed(2.0, 0.35),
+    BatterySpec.displaced_squeezed(2.0, 0.35, alignment="phase"),
+    BatterySpec.number_squeezed(2.0, 0.5),
+    BatterySpec.fock(2),
+], ids=lambda b: b.label())
+def test_heisenberg_pass_matches_tight_forward_cycles(battery, reference_noise):
+    # one backward integration, at a cutoff wider than the battery's own,
+    # contracted with the phase-0 state, against forward cycles at each phase
+    p = ProtocolParams(nbar=2.0, phi_echo=0.4)
+    heis = heisenberg_observables(p, compute_cutoff(BatterySpec.displaced_squeezed(2.0, 0.5)),
+                                  reference_noise)
+    thetas = (0.0, 0.7, 2.3)
+    got = heis.expectations(battery.with_phase(0.0), np.array(thetas) - math.pi / 2.0)
+    for theta, (p_e, n_final) in zip(thetas, got):
+        q = dataclasses.replace(p, theta_geo=theta)
+        fwd = run_quantum(q, battery.with_phase(q.phi_batt), reference_noise, TIGHT)
+        assert abs(p_e - fwd.p_e) <= 1e-7 and abs(n_final - fwd.mean_n_final) <= 1e-7, theta
+
+
+def test_heisenberg_pass_serves_a_fixed_squeezing_angle(reference_noise):
+    # not a rotation of the phase-0 state: contracted as built, at one theta
+    p = ProtocolParams(theta_geo=0.7, nbar=2.0, phi_echo=0.4)
+    battery = BatterySpec.displaced_squeezed(2.0, 0.35, alignment="angle",
+                                             theta_s=0.3).with_phase(p.phi_batt)
+    heis = heisenberg_observables(p, compute_cutoff(battery), reference_noise)
+    (p_e, n_final), = heis.expectations(battery, np.zeros(1))
+    fwd = run_quantum(p, battery, reference_noise, TIGHT)
+    assert abs(p_e - fwd.p_e) <= 1e-7 and abs(n_final - fwd.mean_n_final) <= 1e-7
+
+
+def test_classical_half_cycles_match_forward_cycles(reference_noise):
+    p = ProtocolParams(phi_echo=0.4)
+    thetas = (0.0, 0.7, 2.3)
+    got = classical_heisenberg(p, reference_noise).expectations(
+        None, np.array(thetas) - math.pi / 2.0)
+    for theta, (p_e, no_battery) in zip(thetas, got):
+        assert math.isnan(no_battery)
+        fwd = run_classical(dataclasses.replace(p, theta_geo=theta), reference_noise, TIGHT)
+        assert abs(p_e - fwd.p_e) <= 1e-7, theta

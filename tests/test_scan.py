@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -11,9 +12,11 @@ import scipy.linalg
 
 import glzi
 import glzi.oracle
+import glzi.protocol
 import glzi.scan
 from glzi.cli import main
 from glzi.errors import ConfigError
+from glzi.odeint import IntegratorConfig
 from glzi.oracle import SectorAmplitudes, oracle_report
 from glzi.scan import (
     cmd_backaction,
@@ -22,7 +25,6 @@ from glzi.scan import (
     cmd_heatmap,
     cmd_oracle_check,
     cmd_squeeze_bench,
-    integrator_from,
     load_config,
     noise_from,
     protocol_for,
@@ -212,7 +214,7 @@ def test_cmd_backaction_control_row(tmp_path, monkeypatch):
     assert abs(float(row[1])) < 1e-10
     assert abs(float(row[2])) < 1e-10
     timings = json.loads(files[0].with_suffix(".json").read_text())["timings"]
-    assert timings["n_runs"] == 3  # the harmonic probes, not the 5 grid points
+    assert timings["n_runs"] == 2  # one backward integration and one spot cycle
 
 
 def test_cmd_squeeze_bench_rows(tmp_path):
@@ -242,26 +244,27 @@ def task_counts(monkeypatch):
 
 
 def test_each_scan_is_one_sweep(tmp_path, task_counts):
-    # every grid runs the 3 harmonic probes: 3 cycles per battery (x tau_p count)
-    cases = [  # (command, experiment, extra overrides, cycles)
-        (cmd_fringe, "fringe", (), 3 * 3),
-        (cmd_heatmap, "heatmap", ("grid.tau_p_count=2",), 3 * 3 * 2),
-        (cmd_contrast_scan, "contrast-scan", (), 3 * 3),
-        (cmd_backaction, "backaction", (), 2 * 3),
+    # whatever the theta grid: per tau_p one backward pass per battery size
+    # (and one for the classical reference), plus one spot cycle per battery
+    cases = [  # (command, experiment, extra overrides, tasks)
+        (cmd_fringe, "fringe", (), 3 + 3),
+        (cmd_heatmap, "heatmap", ("grid.tau_p_count=2",), 3 * 2 + 3),
+        (cmd_contrast_scan, "contrast-scan", (), 3 + 3),
+        (cmd_backaction, "backaction", (), 2 + 2),
         (cmd_squeeze_bench, "squeeze-bench", ("grid.r_list=0.25", "grid.q_list=0.5"),
-         2 * 3 * 3),
+         2 + 2 * 3),
     ]
-    for n_theta in (3, 7):
+    for n_theta in (4, 7):
         grid = (f"grid.theta_count={n_theta}", "grid.nbar_list=1,2")
-        for cmd, experiment, extra, cycles in cases:
+        for cmd, experiment, extra, tasks in cases:
             task_counts.clear()
             cmd(cfg_for(experiment, tmp_path / f"{experiment}{n_theta}", *grid, *extra))
-            assert task_counts == [cycles], (experiment, n_theta)
+            assert task_counts == [tasks], (experiment, n_theta)
 
 
 def _direct(cfg, battery, taus=(None,)):
-    """Reference: one integrated cycle per grid point, theta-outer."""
-    noise, icfg = noise_from(cfg), integrator_from(cfg)
+    """Reference: one tight-tolerance cycle per grid point, theta-outer."""
+    noise, icfg = noise_from(cfg), IntegratorConfig(rtol=1e-11, atol=1e-13)
     results = []
     for theta in theta_grid(cfg):
         for tau_p in taus:
@@ -275,7 +278,7 @@ def _direct(cfg, battery, taus=(None,)):
 def _assert_matches_direct(cfg, batteries, taus=(None,)):
     shape = (len(theta_grid(cfg)), len(taus))
     for battery, sw in zip(batteries, sweep(cfg, batteries, taus)):
-        assert len(sw.runs) == 3 * len(taus)
+        assert len(sw.runs) == len(taus) + 1  # the passes and the spot cycle
         assert sw.p_e.shape == sw.delta_n.shape == shape
         direct = _direct(cfg, battery, taus)
         for got_pe, got_dn, want in zip(sw.p_e.ravel(), sw.delta_n.ravel(), direct):
@@ -294,9 +297,9 @@ def test_sweep_reconstruction_matches_direct_integration(tmp_path):
     cut = cfg_for("heatmap", tmp_path, "grid.theta_count=4", "grid.tau_p_count=3",
                   "grid.nbar_list=2")
     _assert_matches_direct(cut, [None, BatterySpec.coherent(2.0)], tau_p_grid(cut))
-    # a grid of fewer angles than probes goes through the probes as well
-    two = cfg_for("fringe", tmp_path, "grid.theta_count=2", "grid.nbar_list=2")
-    _assert_matches_direct(two, [BatterySpec.coherent(2.0), None])
+    # the smallest grid the config accepts
+    four = cfg_for("fringe", tmp_path, "grid.theta_count=4", "grid.nbar_list=2")
+    _assert_matches_direct(four, [BatterySpec.coherent(2.0), None])
 
 
 def test_sweep_refuses_fixed_squeezing_angle(tmp_path, task_counts):
@@ -318,7 +321,8 @@ def test_oracle_check_report(tmp_path):
     assert doc["n_failed"] == 0
     names = {c["name"] for c in doc["checks"]}
     assert {"sector_decomposition_vs_simulation", "fringe_is_second_harmonic",
-            "generator_conserves_coherence_order"} <= names
+            "generator_conserves_coherence_order", "detuning_generator_is_diagonal",
+            "adjoint_matches_forward"} <= names
     for chk in doc["checks"]:
         assert set(chk) == {"name", "defect", "threshold", "passed"}
 
@@ -349,23 +353,33 @@ def test_oracle_check_catches_order_mixing_echo(monkeypatch):
     assert bad["defect"] > 0.1
 
 
+def test_oracle_check_catches_forward_generator_in_backward_pass(monkeypatch):
+    # integrating L where the Heisenberg picture needs L^H
+    monkeypatch.setattr(glzi.protocol, "_adjoint_band", glzi.protocol._order_band)
+    report = {c["name"]: c for c in oracle_report()}
+    bad = report["adjoint_matches_forward"]
+    assert not bad["passed"]
+    assert bad["defect"] > 1e-3
+    assert report["fringe_is_second_harmonic"]["passed"]
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     assert main(["fringe", "--set", "bogus=1", "--out", str(tmp_path)]) == 2
     assert "config error" in capsys.readouterr().err
 
     ok = main(["fringe", "--out", str(tmp_path / "ok"), "--workers", "1",
-               "--set", "grid.theta_count=3", "--set", "grid.nbar_list=1"])
+               "--set", "grid.theta_count=4", "--set", "grid.nbar_list=1"])
     assert ok == 0
     out = capsys.readouterr().out
     assert "fringe_classical.csv" in out
 
     bad = main(["fringe", "--out", str(tmp_path / "fail"), "--workers", "1",
-                "--set", "grid.theta_count=3", "--set", "grid.nbar_list=1",
+                "--set", "grid.theta_count=4", "--set", "grid.nbar_list=1",
                 "--set", "integrator.max_steps=2"])
     assert bad == 3
 
     nan = main(["fringe", "--out", str(tmp_path / "nan"), "--workers", "1",
-                "--set", "protocol.tau_p_ns=nan", "--set", "grid.theta_count=3",
+                "--set", "protocol.tau_p_ns=nan", "--set", "grid.theta_count=4",
                 "--set", "grid.nbar_list=1"])
     assert nan == 2
     assert not (tmp_path / "nan").exists()
@@ -383,13 +397,40 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_two_or_three_angles_are_refused(tmp_path, capsys):
+    # P_e has period pi in theta_geo: linspace(0, 2pi, n <= 3) is one point
+    for experiment in ("fringe", "contrast-scan"):
+        for n in (2, 3):
+            out = tmp_path / f"{experiment}-{n}"
+            assert main([experiment, "--out", str(out), "--workers", "1",
+                         "--set", f"grid.theta_count={n}", "--set", "grid.nbar_list=2,3"]) == 2
+            assert "period pi" in capsys.readouterr().err
+            assert not out.exists()
+
+
+def test_spot_cycle_mismatch_exits_3(tmp_path, monkeypatch, capsys):
+    # a forward spot cycle that disagrees with the closed form stops the scan
+    original = glzi.scan.run_quantum
+
+    def off(*args):
+        res = original(*args)
+        return dataclasses.replace(res, p_e=res.p_e + 2e-6)
+
+    monkeypatch.setattr(glzi.scan, "run_quantum", off)
+    rc = main(["fringe", "--out", str(tmp_path), "--workers", "1",
+               "--set", "grid.theta_count=4", "--set", "grid.nbar_list=1"])
+    assert rc == 3
+    assert "spot cycle" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_config_validation_loads_no_scipy(tmp_path):
     # a fresh interpreter: importing glzi and checking a config, good or bad,
     # must not pay for scipy, which loads at the first cycle
     probe = (
         "import sys, glzi.scan, glzi.cli\n"
-        "glzi.scan.load_config('fringe', overrides=['grid.theta_count=3'])\n"
-        "glzi.scan.load_config('squeeze-bench', overrides=['grid.theta_count=3'])\n"
+        "glzi.scan.load_config('fringe', overrides=['grid.theta_count=4'])\n"
+        "glzi.scan.load_config('squeeze-bench', overrides=['grid.theta_count=4'])\n"
         "rc = glzi.cli.main(['fringe', '--out', sys.argv[1],\n"
         "                    '--set', 'protocol.tau_p_ns=nan'])\n"
         "print(rc, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
@@ -406,7 +447,7 @@ def test_config_validation_loads_no_scipy(tmp_path):
 def test_cli_crashed_worker_exits_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(glzi.scan, "run_quantum", lambda *args: os._exit(1))
     rc = main(["fringe", "--out", str(tmp_path), "--workers", "2",
-               "--set", "grid.theta_count=3", "--set", "grid.nbar_list=1"])
+               "--set", "grid.theta_count=4", "--set", "grid.nbar_list=1"])
     assert rc == 3
     assert "fringe failed" in capsys.readouterr().err
 

@@ -213,3 +213,22 @@ def test_squeezed_vacuum_strong_r_needs_explicit_cutoff():
     c = build_squeezed_vacuum(1.2, 0.0, 120)
     mean_n, _, _ = vector_stats(c)
     assert mean_n == pytest.approx(math.sinh(1.2) ** 2, abs=1e-6)
+
+
+@pytest.mark.parametrize("spec", [
+    BatterySpec.coherent(2.0),
+    BatterySpec.displaced_squeezed(5.0, 0.35),
+    BatterySpec.displaced_squeezed(5.0, 0.35, alignment="phase"),
+    BatterySpec.number_squeezed(5.0, 0.5),
+    BatterySpec.fock(3),
+], ids=lambda b: b.label())
+def test_battery_phase_rotates_the_state(spec):
+    # sweep's closed form in theta_geo rests on rho(phi) = e^{-i phi n} rho(0) e^{i phi n};
+    # density matrices, since a state is defined up to a global phase
+    n = np.arange(compute_cutoff(spec))
+    c0 = build_state(spec.with_phase(0.0))
+    rho0 = np.outer(c0, c0.conj())
+    for phi in (0.3, 1.9, -2.4):
+        c = build_state(spec.with_phase(phi))
+        rotated = rho0 * np.exp(-1j * phi * np.subtract.outer(n, n))
+        assert np.max(np.abs(np.outer(c, c.conj()) - rotated)) < 1e-12
