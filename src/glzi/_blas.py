@@ -2,7 +2,7 @@
 
 numpy and scipy each ship their own OpenBLAS, each with a thread pool sized
 to the machine.  A cycle's BLAS calls (the DOP853 stage combinations, the
-displacement expm of a state build) are far too small to gain from a second
+displacement eigh of a state build) are far too small to gain from a second
 thread, and the idle pool threads slow them several-fold.  Both libraries are
 found by path, without importing scipy, and their thread counts set through
 their own setters (the mechanism of threadpoolctl).  A library or symbol not

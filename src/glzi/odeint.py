@@ -228,10 +228,20 @@ def integrate_segment(
     return y
 
 
-def sanitize(rho: np.ndarray) -> np.ndarray:
-    """Symmetrize and renormalize a density matrix after a protocol segment."""
-    herm = 0.5 * (rho + rho.conj().T)
-    tr = float(np.real(np.trace(herm)))
+def sanitize(rho: np.ndarray, mirror: np.ndarray | None = None) -> np.ndarray:
+    """Symmetrize and renormalize a density matrix after a protocol segment.
+
+    With mirror, rho holds some vec entries, mirror[i] the position of entry
+    i's transpose, or -1 where that is implied as entry i's conjugate.
+    """
+    if mirror is None:
+        herm = 0.5 * (rho + rho.conj().T)
+        tr = float(np.real(np.trace(herm)))
+    else:
+        both = mirror >= 0
+        herm = rho.copy()
+        herm[both] = 0.5 * (rho[both] + rho[mirror[both]].conj())
+        tr = float(np.real(herm[mirror == np.arange(mirror.size)].sum()))
     if abs(tr) < 1e-6:
         raise ZeroTrace(f"trace {tr:.3e} too small to renormalize")
     return herm / tr

@@ -20,10 +20,18 @@ import numpy as np
 from . import _blas
 from .errors import EnergyBudgetExceeded
 from .hilbert import HilbertSpec, build_operators, jc_coupling
-from .liouvillian import NoiseParams, assemble, coherence_orders, devectorize, vectorize
+from .liouvillian import (
+    NoiseParams,
+    assemble,
+    coherence_orders,
+    devectorize,
+    restrict,
+    vectorize,
+)
 from .odeint import IntegratorConfig
 from .protocol import (
     ProtocolParams,
+    echo_map,
     echo_unitary,
     heisenberg_observables,
     run_quantum,
@@ -270,6 +278,21 @@ def oracle_report() -> list[dict]:
                for gen in (lv_th.l0, lv_th.l_delta))
     leak = max(leak, float(np.max(np.abs(echo_super[(shift != 0) & (np.abs(shift) != 2)]))))
     checks.append(_check("generator_conserves_coherence_order", leak, 0.0))
+    # the echo as the protocol applies it, an index map between the kept
+    # entries of two bands, against E rho E^H: from the k in {0, 1, 2, 3} to
+    # the k in {0, 1} entries of a Hermitian joint state, and on all 4 entries
+    # of a qubit as the classical reference keeps them
+    u = echo_unitary(0.3)
+    before, after = (restrict(lv_th, np.flatnonzero(np.isin(orders, ks)))
+                     for ks in ((0, 1, 2, 3), (0, 1)))
+    defect = np.abs(echo_map(u, before, after)(vectorize(herm)[before.kept])
+                    - vectorize(echo @ herm @ echo.conj().T)[after.kept])
+    qubit = assemble(build_operators(HilbertSpec(1)), g, noise_th)
+    herm_q = herm[:2, :2]
+    defect_q = np.abs(echo_map(u, qubit, qubit)(vectorize(herm_q))
+                      - vectorize(u @ herm_q @ u.conj().T))
+    checks.append(_check("echo_index_map_matches_kron", max(defect.max(), defect_q.max()),
+                         1e-15))
     # every right-hand side is l0 @ y + delta * (diagonal of L_delta) * y
     ld = lv_th.l_delta.tocoo()
     checks.append(_check("detuning_generator_is_diagonal",

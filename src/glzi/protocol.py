@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -152,22 +152,69 @@ def _assembled(n_cut: int, g: float, noise: NoiseParams):
 
 
 @lru_cache(maxsize=64)
-def _order_band(n_cut: int, g: float, noise: NoiseParams, max_order: int) -> Liouvillian:
-    """The generator on the vec(rho) entries of coherence order |k| <= max_order."""
+def _order_band(n_cut: int, g: float, noise: NoiseParams, orders: tuple[int, ...]) -> Liouvillian:
+    """The generator on the vec(rho) entries whose coherence order is in orders."""
     ops, lv = _assembled(n_cut, g, noise)
-    return restrict(lv, np.flatnonzero(np.abs(coherence_orders(ops.n_tot)) <= max_order))
+    return restrict(lv, np.flatnonzero(np.isin(coherence_orders(ops.n_tot), orders)))
 
 
 @lru_cache(maxsize=64)
-def _adjoint_band(n_cut: int, g: float, noise: NoiseParams, max_order: int) -> Liouvillian:
-    """L^H on the order band |k| <= max_order: the band of L^H is that of L,
+def _adjoint_band(n_cut: int, g: float, noise: NoiseParams, orders: tuple[int, ...]) -> Liouvillian:
+    """L^H on the same entries: the order blocks of L^H are those of L,
     since L never links two orders."""
-    return _adjoint(_order_band(n_cut, g, noise, max_order))
+    return _adjoint(_order_band(n_cut, g, noise, orders))
 
 
 def _adjoint(lv: Liouvillian) -> Liouvillian:
     return Liouvillian(dim=lv.dim, l0=lv.l0.conj().T.tocsr(),
                        l_delta=lv.l_delta.conj().T.tocsr(), kept=lv.kept)
+
+
+def _position(lv: Liouvillian, i: np.ndarray) -> np.ndarray:
+    """Position in lv.kept of each vec(rho) index i, -1 where it is dropped."""
+    pos = np.full(lv.dim ** 2, -1)
+    pos[lv.kept] = np.arange(lv.kept.size)
+    return pos[i]
+
+
+def _transposed(lv: Liouvillian, i: np.ndarray) -> np.ndarray:
+    return i // lv.dim + lv.dim * (i % lv.dim)  # vec(rho) index of entry i's transpose
+
+
+def _mirror(lv: Liouvillian) -> np.ndarray:
+    return _position(lv, _transposed(lv, lv.kept))  # see sanitize
+
+
+def _matrix(y: np.ndarray, lv: Liouvillian) -> np.ndarray:
+    """The Hermitian matrix whose kept vec(rho) entries are y, zero where
+    neither an entry nor its transpose is kept."""
+    full = np.zeros(lv.dim ** 2, dtype=complex)
+    half = _mirror(lv) < 0
+    full[_transposed(lv, lv.kept[half])] = y[half].conj()
+    full[lv.kept] = y
+    return full.reshape(lv.dim, lv.dim, order="F")
+
+
+def echo_map(u: np.ndarray, src: Liouvillian,
+             dst: Liouvillian) -> Callable[[np.ndarray], np.ndarray]:
+    """rho -> E rho E^H, E = I_B (x) u, from the kept entries of src to those
+    of dst, as an index map with phases.  u swaps |g> and |e>, so entry
+    (r, c) is u[r%2, 1-r%2] conj(u[c%2, 1-c%2]) rho[r^1, c^1], reading that
+    as the conjugate of its transpose where only that is kept (see _matrix).
+    """
+    r, c = dst.kept % dst.dim, dst.kept // dst.dim
+    phase = u[r % 2, 1 - r % 2] * u[c % 2, 1 - c % 2].conj()
+    source = (r ^ 1) + dst.dim * (c ^ 1)
+    at = _position(src, source)
+    conj = at < 0
+    at[conj] = _position(src, _transposed(src, source[conj]))
+    phase[at < 0] = 0.0
+
+    def echo(y: np.ndarray) -> np.ndarray:
+        out = y[at]
+        out[conj] = out[conj].conj()
+        return out * (phase if y.ndim == 1 else phase[:, None])
+    return echo
 
 
 def _segment_plan(p: ProtocolParams) -> list[tuple[float, float, str]]:
@@ -207,45 +254,43 @@ def _propagate(y: np.ndarray, lv: Liouvillian, p: ProtocolParams, t_a: float, t_
 
 
 def _evolve_protocol(
-    rho: np.ndarray,
+    y: np.ndarray,
     before: Liouvillian,
     after: Liouvillian,
     p: ProtocolParams,
     cfg: IntegratorConfig,
-    echo_joint: np.ndarray | None,
+    echo: Callable[[np.ndarray], np.ndarray] | None,
     n_tot_op: np.ndarray | None,
     record: bool,
 ) -> tuple[np.ndarray, float, list[SegmentRecord]]:
-    """Run the staged evolution; returns (rho_final, max trace defect, log).
+    """Run the staged evolution; returns (final entries, max trace defect, log).
 
-    Segments up to tau_c/2 integrate the kept vec(rho) entries of `before`,
-    later ones those of `after`.  At every boundary the state is a full
-    matrix, zero outside the entries just integrated.
+    y holds the kept vec(rho) entries of `before`, of a Hermitian rho; echo
+    (see echo_map) carries them to those of `after` at tau_c/2.  Only the
+    audits build a full matrix.
     """
-    def audit(label: str, t: float, state: np.ndarray) -> SegmentRecord:
+    def audit(label: str, t: float, y: np.ndarray, lv: Liouvillian) -> SegmentRecord:
+        state = _matrix(y, lv)
         n_tot = real_expectation(state, n_tot_op) if n_tot_op is not None else float("nan")
         return SegmentRecord(label=label, t=t, n_tot=n_tot,
                              p_e=excited_population(state))
 
     t_mid = p.tau_c / 2.0
-    log: list[SegmentRecord] = []
-    if record:
-        log.append(audit("initial", 0.0, rho))
+    lv = before
+    log = [audit("initial", 0.0, y, lv)] if record else []
     trace_defect = 0.0
     for t_a, t_b, name in _segment_plan(p):
-        lv = before if t_b <= t_mid + _TIME_TOL else after
-        y = np.zeros(lv.dim ** 2, dtype=complex)
-        y[lv.kept] = _propagate(vectorize(rho)[lv.kept], lv, p, t_a, t_b, cfg)
-        rho = devectorize(y)
-        trace_defect = max(trace_defect, abs(float(np.real(np.trace(rho))) - 1.0))
-        rho = sanitize(rho)
+        y = _propagate(y, lv, p, t_a, t_b, cfg)
+        trace = float(np.real(y[lv.kept % (lv.dim + 1) == 0].sum()))  # the diagonal
+        trace_defect = max(trace_defect, abs(trace - 1.0))
+        y = sanitize(y, _mirror(lv))
         if record:
-            log.append(audit(name, t_b, rho))
-        if echo_joint is not None and abs(t_b - t_mid) <= _TIME_TOL:
-            rho = echo_joint @ rho @ echo_joint.conj().T
+            log.append(audit(name, t_b, y, lv))
+        if echo is not None and abs(t_b - t_mid) <= _TIME_TOL:
+            y, lv = echo(y), after
             if record:
-                log.append(audit("echo", t_b, rho))
-    return rho, trace_defect, log
+                log.append(audit("echo", t_b, y, lv))
+    return y, trace_defect, log
 
 
 def run_quantum(
@@ -267,26 +312,22 @@ def run_quantum(
     Only the coherence orders k = N_row - N_col (N = n + s) that reach an
     output are integrated.  The generator and sanitize never mix orders and
     the echo moves k by 0 or +-2, while P_e, <n>, <n^2>, the trace and the
-    audits read k = 0 and <a> reads k = 1: so |k| <= 3 is kept before the
-    echo and |k| <= 1 after it (|k| <= 1 throughout without the echo).
-    min_eig is therefore that of the k = 0 part, see sector_min_eig.
+    audits read k = 0 and <a> reads k = 1: so |k| <= 3 matter before the
+    echo and |k| <= 1 after it (|k| <= 1 throughout without the echo), of
+    which only k >= 0: rho stays Hermitian.  min_eig is therefore that of
+    the k = 0 part, see sector_min_eig.
     """
     n_cut = compute_cutoff(battery)
     ops, _ = _assembled(n_cut, p.g, noise)
-    after = _order_band(n_cut, p.g, noise, 1)
-    before = _order_band(n_cut, p.g, noise, 3) if apply_echo else after
-    psi_b = build_state(battery, n_cut)
-    psi = np.kron(psi_b, np.array([1.0, 0.0], dtype=complex))
+    after = _order_band(n_cut, p.g, noise, (0, 1))
+    before = _order_band(n_cut, p.g, noise, (0, 1, 2, 3)) if apply_echo else after
+    psi = np.kron(build_state(battery, n_cut), np.array([1.0, 0.0], dtype=complex))
     rho = np.outer(psi, psi.conj())
     obs_i = battery_observables(rho)
-
-    echo_joint = None
-    if apply_echo:
-        echo_joint = np.kron(np.eye(n_cut, dtype=complex), echo_unitary(p.phi_echo))
-
-    rho, trace_defect, log = _evolve_protocol(
-        rho, before, after, p, cfg, echo_joint, ops.n_tot, record_segments)
-
+    echo = echo_map(echo_unitary(p.phi_echo), before, after) if apply_echo else None
+    y, trace_defect, log = _evolve_protocol(
+        vectorize(rho)[before.kept], before, after, p, cfg, echo, ops.n_tot, record_segments)
+    rho = _matrix(y, after)
     obs_f = battery_observables(rho)
     return RunResult(
         p_e=excited_population(rho),
@@ -329,9 +370,10 @@ def run_classical(
     channels.  Battery observables are reported as NaN sentinels.
     """
     lv = _classical_generator(p.omega, p.phi_batt, noise)
-    echo = echo_unitary(p.phi_echo) if apply_echo else None
-    rho, trace_defect, log = _evolve_protocol(
-        _GROUND.copy(), lv, lv, p, cfg, echo, None, record_segments)
+    echo = echo_map(echo_unitary(p.phi_echo), lv, lv) if apply_echo else None
+    y, trace_defect, log = _evolve_protocol(
+        vectorize(_GROUND), lv, lv, p, cfg, echo, None, record_segments)
+    rho = devectorize(y)
     diag = check_density(rho)
     return RunResult(
         p_e=float(np.real(rho[1, 1])),
@@ -347,20 +389,18 @@ def run_classical(
     )
 
 
-_ORDERS = np.arange(-2, 3)
-
-
 @dataclass(frozen=True)
 class HeisenbergObservables:
     """Phi^dagger(Pi_e) and Phi^dagger(n_b) of one echo cycle, at t = 0.
 
     x holds them as two columns of vec entries `kept` of the joint matrix at
-    Fock cutoff n_cut; `orders` gives each entry's coherence order k.
+    Fock cutoff n_cut, of coherence order 0 and 2 (`second`): no other order
+    is nonzero, and -2 is the conjugate transpose of 2.
     """
 
     n_cut: int
     kept: np.ndarray
-    orders: np.ndarray
+    second: np.ndarray
     x: np.ndarray
 
     def expectations(self, battery: BatterySpec, phis: np.ndarray) -> np.ndarray:
@@ -370,15 +410,15 @@ class HeisenbergObservables:
         its own cutoff and zero-padded, and rho0(phi) = e^{-i phi N} rho0(0)
         e^{i phi N}: each entry of order k picks up e^{-i k phi}.  That is a
         change of battery phase by phi for every battery that sweep accepts.
+        Tr(X rho) = vec(X)^H vec(rho) = A0 + 2 Re(e^{-2i phi} S2) over the
+        order 0 and 2 entries, order -2 giving the conjugate of S2.
         """
-        c = np.zeros(self.n_cut, dtype=complex)
-        psi_b = build_state(battery)
-        c[:psi_b.size] = psi_b
-        psi = np.kron(c, np.array([1.0, 0.0]))
-        rho0 = vectorize(np.outer(psi, psi.conj()))[self.kept]
-        terms = self.x.conj() * rho0[:, None]  # Tr(X rho) = vec(X)^H vec(rho), X Hermitian
-        per_order = np.stack([terms[self.orders == k].sum(axis=0) for k in _ORDERS])
-        return np.real(np.exp(-1j * np.outer(phis, _ORDERS)) @ per_order)
+        psi_b, d = build_state(battery), 2 * self.n_cut
+        psi = np.zeros(d, dtype=complex)
+        psi[:2 * psi_b.size:2] = psi_b  # |psi_B> (x) |g>, zero-padded
+        terms = self.x.conj() * (psi[self.kept % d] * psi[self.kept // d].conj())[:, None]
+        a0, s2 = terms[~self.second].sum(axis=0), terms[self.second].sum(axis=0)
+        return np.real(a0 + 2.0 * np.exp(-2j * np.asarray(phis))[:, None] * s2)
 
 
 def heisenberg_observables(p: ProtocolParams, n_cut: int, noise: NoiseParams = NOISELESS,
@@ -388,25 +428,21 @@ def heisenberg_observables(p: ProtocolParams, n_cut: int, noise: NoiseParams = N
     Phi^dagger = S1^dagger S2^dagger E^dagger S3^dagger S4^dagger for the
     segment maps S1..S4 and the echo E.  Phi^dagger keeps the coherence
     order, as Phi does, and the adjoint echo O -> U^dagger O U moves it by
-    0 or +-2: from the k = 0 observables, the k = 0 band is integrated after
-    the echo and |k| <= 2 before it.  theta_geo of p is not used.
+    0 or +-2: from the k = 0 observables, k = 0 is integrated after the echo
+    and k in {0, 2} before it (X being Hermitian).  theta_geo is not used.
     """
     ops, _ = _assembled(n_cut, p.g, noise)
-    after = _adjoint_band(n_cut, p.g, noise, 0)
-    before = _adjoint_band(n_cut, p.g, noise, 2)
-    echo = np.kron(np.eye(n_cut, dtype=complex), echo_unitary(p.phi_echo))
+    after = _adjoint_band(n_cut, p.g, noise, (0,))
+    before = _adjoint_band(n_cut, p.g, noise, (0, 2))
+    echo = echo_map(echo_unitary(p.phi_echo).conj().T, after, before)
     x = np.column_stack([vectorize(ops.proj_e), vectorize(ops.n_op)])[after.kept]
     lv = after
     for t_a, t_b, _ in reversed(_segment_plan(p)):
         if lv is after and t_b <= p.tau_c / 2.0 + _TIME_TOL:
-            full = np.zeros((ops.dim ** 2, 2), dtype=complex)
-            full[after.kept] = x
-            x = np.column_stack([vectorize(echo.conj().T @ devectorize(col) @ echo)
-                                 for col in full.T])[before.kept]
-            lv = before
+            x, lv = echo(x), before
         x = _propagate(x, lv, p, t_a, t_b, cfg, backward=True)
-    orders = coherence_orders(ops.n_tot)[before.kept]
-    return HeisenbergObservables(n_cut=n_cut, kept=before.kept, orders=orders, x=x)
+    second = coherence_orders(ops.n_tot)[before.kept] == 2
+    return HeisenbergObservables(n_cut=n_cut, kept=before.kept, second=second, x=x)
 
 
 @dataclass(frozen=True)

@@ -308,6 +308,7 @@ def run_tasks(tasks: list[Task], workers: int) -> list:
 
 
 SPOT_TOL = 1e-6  # largest |closed form - spot cycle| on P_e and Delta n
+_PROBES = np.arange(3) * math.pi / 3.0  # three phases that fix a second harmonic
 
 
 @dataclass(frozen=True)
@@ -316,14 +317,19 @@ class BatterySweep:
 
     p_e and delta_n have shape (theta count, tau_p count), theta-outer;
     delta_n is NaN for the classical reference.  initial is the spot cycle's
-    RunResult, read for the phase-invariant initial statistics.  runs holds
-    the run_tasks triples of the passes (shared within a battery size) and of
-    the spot cycle; blas_threads each OpenBLAS pool's thread count meanwhile.
+    RunResult, read for the phase-invariant initial statistics, and
+    spot_defect its largest |closed form - spot cycle|.  contrast_exact is
+    the max - min of each tau_p column's P_e over every theta, not the grid
+    only.  runs holds the run_tasks triples of the passes (shared within a
+    battery size) and of the spot cycle; blas_threads each OpenBLAS pool's
+    thread count meanwhile.
     """
 
     p_e: np.ndarray
     delta_n: np.ndarray
     initial: RunResult
+    spot_defect: float
+    contrast_exact: np.ndarray
     runs: list
     blas_threads: dict
 
@@ -340,8 +346,10 @@ def sweep(cfg: ScanConfig, batteries: Sequence[BatterySpec | None],
     A fixed squeezing angle (alignment "angle") does not rotate with phi and
     is refused before any cycle runs.  One forward spot cycle per battery, at
     theta_0 and the first tau_p, must match the closed form to SPOT_TOL on
-    P_e and Delta n, or SpotCheckFailed is raised.  Every OpenBLAS pool is
-    pinned to one thread meanwhile.
+    P_e and Delta n, or SpotCheckFailed is raised.  P_e(phi) = A0 + B cos 2phi
+    + C sin 2phi, so its exact contrast 2 sqrt(B^2 + C^2) follows from the
+    closed form at _PROBES.  Every OpenBLAS pool is pinned to one thread
+    meanwhile.
     """
     if any(b is not None and b.alignment == ALIGN_ANGLE for b in batteries):
         raise ValueError("a battery with a fixed squeezing angle (alignment 'angle') "
@@ -366,14 +374,19 @@ def sweep(cfg: ScanConfig, batteries: Sequence[BatterySpec | None],
         out = []
         for battery, spot in zip(batteries, done[len(groups) * len(taus):]):
             runs, initial = passes[battery and battery.nbar], spot[1]
-            both = np.stack([r.expectations(battery and battery.with_phase(0.0), phis)
-                             for _, r, _ in runs], axis=1)  # theta x tau_p x (P_e, <n>)
+            both = np.stack([r.expectations(battery and battery.with_phase(0.0),
+                                            np.concatenate([phis, _PROBES]))
+                             for _, r, _ in runs], axis=1)  # phi x tau_p x (P_e, <n>)
+            probes, both = both[len(phis):, :, 0], both[:len(phis)]
+            contrast_exact = 4.0 / 3.0 * np.abs(np.exp(2j * _PROBES) @ probes)
             p_e, delta_n = both[..., 0], initial.mean_n_initial - both[..., 1]
-            miss = np.abs([p_e[0, 0] - initial.p_e, delta_n[0, 0] - initial.delta_n])
-            if not np.all(miss[:1 if battery is None else 2] <= SPOT_TOL):  # NaN fails
+            miss = np.abs([p_e[0, 0] - initial.p_e,
+                           delta_n[0, 0] - initial.delta_n])[:1 if battery is None else 2]
+            if not np.all(miss <= SPOT_TOL):  # NaN fails
                 raise SpotCheckFailed(f"{battery.label() if battery else 'classical'}: the "
                                       f"sweep misses its spot cycle by {np.nanmax(miss):.3e}")
-            out.append(BatterySweep(p_e, delta_n, initial, [*runs, spot], blas_threads))
+            out.append(BatterySweep(p_e, delta_n, initial, float(miss.max()), contrast_exact,
+                                    [*runs, spot], blas_threads))
     return out
 
 
@@ -421,8 +434,9 @@ def _emit(cfg: ScanConfig, stem: str, header: Sequence[str], rows: list,
 
     The sidecar's runtime block gives the worker set-up, the OpenBLAS thread
     count of each pool during the sweep (None if unknown) and the spread of
-    the tasks' seconds.  plot is (svgplot function, *data, x_label, y_label),
-    drawn with --svg.
+    the tasks' seconds.  Its trust block gives the sweeps' largest spot
+    defect against SPOT_TOL, plus extra's "trust" entries.  plot is
+    (svgplot function, *data, x_label, y_label), drawn with --svg.
     """
     path = cfg.out_dir / f"{stem}.csv"
     write_csv(path, header, rows)
@@ -434,8 +448,11 @@ def _emit(cfg: ScanConfig, stem: str, header: Sequence[str], rows: list,
         "task_s": dict(zip(("p50", "p95", "max"),
                            np.round(np.percentile(task_s, [50, 95, 100]), 4).tolist())),
     }
+    extra = dict(extra or {})
+    trust = {"spot_defect": max(sw.spot_defect for sw in sweeps), "spot_tol": SPOT_TOL,
+             **extra.pop("trust", {})}
     write_sidecar(path, cfg, sum(task_s), len(task_s),
-                  extra={"runtime": runtime, **(extra or {})})
+                  extra={"runtime": runtime, "trust": trust, **extra})
     if cfg.svg and plot is not None:
         draw, *args = plot
         draw(path.with_suffix(".svg"), *args, path.stem)
@@ -443,6 +460,13 @@ def _emit(cfg: ScanConfig, stem: str, header: Sequence[str], rows: list,
 
 
 # experiments -----------------------------------------------------------------
+
+def _contrast_exact(batteries, sweeps) -> dict:
+    """Sidecar entry: each fringe's exact contrast by battery label, which the
+    grid max - min C of the CSV reaches only where the grid hits the extrema."""
+    return {"contrast_exact": {b.label() if b else "classical": float(sw.contrast_exact[0])
+                               for b, sw in zip(batteries, sweeps)}}
+
 
 def _coherent(cfg: ScanConfig) -> list[BatterySpec]:
     return [BatterySpec.coherent(nbar) for nbar in cfg.flist("grid.nbar_list")]
@@ -496,7 +520,7 @@ def cmd_contrast_scan(cfg: ScanConfig) -> list[Path]:
         rows.append((battery.nbar, c, c_cl, c_cl - c, 1.0 / battery.nbar))
 
     fit_rows = [(nb, c) for nb, c, *_ in rows if nb >= 2.0]
-    extra: dict = {"fit": None}
+    extra: dict = {"fit": None, "trust": _contrast_exact(batteries, sweeps)}
     if len(fit_rows) >= 2:
         fit = contrast_deficit_fit([nb for nb, _ in fit_rows],
                                    [c for _, c in fit_rows], c_cl)
@@ -548,7 +572,7 @@ def cmd_squeeze_bench(cfg: ScanConfig) -> list[Path]:
                      sw.initial.var_n_initial, sw.initial.eta_coh_initial))
     return [_emit(cfg, "squeeze_bench", ["state_kind", "nbar", "r_or_q", "C", "delta_C",
                                          "var_n_init", "eta_coh_init"],
-                  rows, sweeps)]
+                  rows, sweeps, {"trust": _contrast_exact([b for *_, b in entries], sweeps)})]
 
 
 def cmd_oracle_check(cfg: ScanConfig) -> list[Path]:

@@ -172,11 +172,11 @@ def build_coherent(nbar: float, phi: float, n_cut: int) -> np.ndarray:
 
 
 def displacement_matrix(alpha: complex, n_cut: int) -> np.ndarray:
-    """Truncated displacement operator exp(alpha a^dag - alpha* a)."""
-    from scipy.linalg import expm  # deferred: scipy loads at the first state that needs it
-
+    """Truncated displacement operator exp(K), K = alpha a^dag - alpha* a, as
+    V diag(e^{-iw}) V^dagger from numpy's eigh of the Hermitian iK."""
     a = destroy(n_cut)
-    return expm(alpha * a.conj().T - np.conj(alpha) * a)
+    w, v = np.linalg.eigh(1j * (alpha * a.conj().T - np.conj(alpha) * a))
+    return (v * np.exp(-1j * w)) @ v.conj().T
 
 
 def build_squeezed_vacuum(r: float, theta_s: float, n_cut: int) -> np.ndarray:

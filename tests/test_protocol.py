@@ -7,9 +7,23 @@ from scipy.integrate import solve_ivp
 
 import glzi.protocol
 from glzi.errors import DimensionMismatch, OutOfWindow
-from glzi.hilbert import HilbertSpec, build_operators, check_density, sector_min_eig
-from glzi.liouvillian import NoiseParams, assemble, coherence_orders, restrict
-from glzi.odeint import IntegratorConfig
+from glzi.hilbert import (
+    HilbertSpec,
+    battery_observables,
+    build_operators,
+    check_density,
+    excited_population,
+    sector_min_eig,
+)
+from glzi.liouvillian import (
+    NoiseParams,
+    assemble,
+    coherence_orders,
+    devectorize,
+    restrict,
+    vectorize,
+)
+from glzi.odeint import IntegratorConfig, sanitize
 from glzi.protocol import (
     ProtocolParams,
     detuning,
@@ -182,14 +196,32 @@ def test_run_quantum_without_echo_keeps_populations_conserved():
     assert max(n_tots) - min(n_tots) < 1e-9
 
 
-def _full_space(monkeypatch):
-    """Make run_quantum integrate every coherence order and report the full
-    state's smallest eigenvalue."""
-    monkeypatch.setattr(glzi.protocol, "_order_band",
-                        lambda n_cut, g, noise, max_order:
-                        glzi.protocol._assembled(n_cut, g, noise)[1])
-    monkeypatch.setattr(glzi.protocol, "sector_min_eig",
-                        lambda rho: check_density(rho).min_eig)
+def _full_space(p, battery, noise, apply_echo):
+    """run_quantum's cycle on all dim^2 entries of rho, sanitized as a matrix
+    and echoed by the dense E rho E^H; returns the quantities it reports, with
+    the full state's smallest eigenvalue."""
+    n_cut = compute_cutoff(battery)
+    ops, lv = glzi.protocol._assembled(n_cut, p.g, noise)
+    echo = np.kron(np.eye(n_cut), echo_unitary(p.phi_echo))
+    psi = np.kron(build_state(battery, n_cut), [1.0, 0.0])
+    rho = np.outer(psi, psi.conj())
+    segments = [("initial", rho)]
+    trace_defect = 0.0
+    for t_a, t_b, name in glzi.protocol._segment_plan(p):
+        rho = devectorize(glzi.protocol._propagate(vectorize(rho), lv, p, t_a, t_b,
+                                                   IntegratorConfig()))
+        trace_defect = max(trace_defect, abs(np.trace(rho).real - 1.0))
+        rho = sanitize(rho)
+        segments.append((name, rho))
+        if apply_echo and t_b == p.tau_c / 2.0:
+            rho = echo @ rho @ echo.conj().T
+            segments.append(("echo", rho))
+    obs = battery_observables(rho)
+    return {"p_e": excited_population(rho), "mean_n_final": obs.mean_n,
+            "var_n_final": obs.var_n, "a_mean_final": obs.a_mean,
+            "trace_defect": trace_defect, "min_eig": check_density(rho).min_eig,
+            "segments": [(name, np.trace(ops.n_tot @ r).real, excited_population(r))
+                         for name, r in segments]}
 
 
 @pytest.mark.parametrize("battery", [
@@ -199,22 +231,64 @@ def _full_space(monkeypatch):
     BatterySpec.number_squeezed(2.0, 0.5),
     BatterySpec.fock(2),
 ], ids=lambda b: b.label())
-def test_restricted_orders_match_full_space(battery, monkeypatch):
+def test_restricted_orders_match_full_space(battery):
     noise = NoiseParams.from_times(118.0, 157.0, kappa=1e-4, nbar_th=0.1)
     p = ProtocolParams(theta_geo=0.7, nbar=2.0, phi_echo=0.4)
     battery = battery.with_phase(p.phi_batt)
     for echo in (True, False):
         kept = run_quantum(p, battery, noise, apply_echo=echo, record_segments=True)
-        with monkeypatch.context() as m:
-            _full_space(m)
-            full = run_quantum(p, battery, noise, apply_echo=echo, record_segments=True)
+        full = _full_space(p, battery, noise, echo)
         for name in ("p_e", "mean_n_final", "var_n_final", "a_mean_final", "trace_defect"):
-            assert abs(getattr(kept, name) - getattr(full, name)) <= 1e-6, (name, echo)
-        assert [s.label for s in kept.segments] == [s.label for s in full.segments]
-        for a, b in zip(kept.segments, full.segments):
-            assert abs(a.n_tot - b.n_tot) <= 1e-6 and abs(a.p_e - b.p_e) <= 1e-6, a.label
-        assert full.min_eig >= -1e-7
-        assert kept.min_eig >= full.min_eig - 1e-12
+            assert abs(getattr(kept, name) - full[name]) <= 1e-6, (name, echo)
+        assert [s.label for s in kept.segments] == [name for name, *_ in full["segments"]]
+        for a, (_, n_tot, p_e) in zip(kept.segments, full["segments"]):
+            assert abs(a.n_tot - n_tot) <= 1e-6 and abs(a.p_e - p_e) <= 1e-6, a.label
+        assert full["min_eig"] >= -1e-7
+        assert kept.min_eig >= full["min_eig"] - 1e-12
+
+
+def test_half_band_sanitize_matches_the_full_matrix():
+    # the k in {0, 1, 2, 3} entries of a Hermitian joint state at n_cut 4
+    band = glzi.protocol._order_band(4, 0.1, NoiseParams(), (0, 1, 2, 3))
+    d = band.dim
+    entries = [(i % d, i // d) for i in band.kept]
+    mirror = [entries.index((c, r)) if (c, r) in entries else -1 for r, c in entries]
+    assert glzi.protocol._mirror(band).tolist() == mirror
+    rng = np.random.default_rng(11)
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = m @ m.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    half = sanitize(vectorize(rho)[band.kept], np.array(mirror))
+    assert np.max(np.abs(half - vectorize(sanitize(rho))[band.kept])) <= 1e-15
+    n = (np.arange(d) + 1) // 2
+    orders = n[:, None] - n[None, :]
+    assert np.max(np.abs(glzi.protocol._matrix(half, band)
+                         - np.where(np.abs(orders) <= 3, sanitize(rho), 0.0))) <= 1e-15
+    # an anti-Hermitian part in the k = 0 block is removed
+    anti = 1j * np.where(orders == 0, np.eye(d, k=1) + np.eye(d, k=-1) + np.eye(d), 0.0)
+    got = sanitize(vectorize(rho + anti)[band.kept], np.array(mirror))
+    assert np.max(np.abs(got - half)) <= 1e-15
+
+
+def test_band_sizes_at_n_cut_48(reference_noise, monkeypatch):
+    # the entries each segment integrates, in integration order: a later change
+    # must not quietly widen a band again
+    sizes = []
+    propagate = glzi.protocol._propagate
+
+    def counting(y, *args, **kwargs):
+        sizes.append(len(y))
+        return propagate(y, *args, **kwargs)
+
+    monkeypatch.setattr(glzi.protocol, "_propagate", counting)
+    battery = BatterySpec.displaced_squeezed(10.0, 0.5)
+    assert compute_cutoff(battery) == 48
+    p = ProtocolParams(nbar=10.0)
+    run_quantum(p, battery.with_phase(p.phi_batt), reference_noise)
+    assert sizes == [742, 742, 378, 378]
+    sizes.clear()
+    heisenberg_observables(p, 48, reference_noise)
+    assert sizes == [190, 190, 374, 374]
 
 
 def test_restrict_refuses_an_open_index_set():

@@ -16,9 +16,11 @@ import glzi.protocol
 import glzi.scan
 from glzi.cli import main
 from glzi.errors import ConfigError
+from glzi.metrics import contrast
 from glzi.odeint import IntegratorConfig
 from glzi.oracle import SectorAmplitudes, oracle_report
 from glzi.scan import (
+    SPOT_TOL,
     cmd_backaction,
     cmd_contrast_scan,
     cmd_fringe,
@@ -227,6 +229,13 @@ def test_cmd_squeeze_bench_rows(tmp_path):
     assert [r[0] for r in rows] == ["coherent", "amp_squeezed", "number_squeezed"]
     assert float(rows[0][4]) == 0.0  # coherent row delta_C
     assert all(float(r[4]) <= 0.0 for r in rows)
+    trust = json.loads(files[0].with_suffix(".json").read_text())["trust"]
+    labels = [b.label() for b in (BatterySpec.coherent(2.0),
+                                  BatterySpec.displaced_squeezed(2.0, 0.35),
+                                  BatterySpec.number_squeezed(2.0, 0.5))]
+    assert sorted(trust["contrast_exact"]) == sorted(labels)
+    for label, row in zip(labels, rows):
+        assert trust["contrast_exact"][label] >= float(row[3]) - 1e-12
 
 
 @pytest.fixture
@@ -302,6 +311,32 @@ def test_sweep_reconstruction_matches_direct_integration(tmp_path):
     _assert_matches_direct(four, [BatterySpec.coherent(2.0), None])
 
 
+def test_sidecar_trust_block(tmp_path):
+    # every sidecar reports its spot defect; contrast-scan's maps each fringe
+    # to its exact contrast, which the 9-angle grid max - min C misses
+    for path in cmd_fringe(cfg_for("fringe", tmp_path / "fringe", "grid.theta_count=4",
+                                   "grid.nbar_list=1")):
+        trust = json.loads(path.with_suffix(".json").read_text())["trust"]
+        assert trust["spot_tol"] == SPOT_TOL and 0.0 <= trust["spot_defect"] <= SPOT_TOL
+    path, _ = cmd_contrast_scan(cfg_for("contrast-scan", tmp_path / "coarse",
+                                        "grid.theta_count=9", "grid.nbar_list=2,5"))
+    trust = json.loads(path.with_suffix(".json").read_text())["trust"]
+    assert 0.0 <= trust["spot_defect"] <= trust["spot_tol"] == SPOT_TOL
+    exact = trust["contrast_exact"]
+    for line in path.read_text().splitlines()[1:]:
+        nbar, c, c_cl, *_ = map(float, line.split(","))
+        assert exact[BatterySpec.coherent(nbar).label()] >= c - 1e-12
+        assert exact["classical"] >= c_cl - 1e-12
+    # against max - min of the closed form on 4,001 angles, to that grid's
+    # sampling error
+    fine = cfg_for("contrast-scan", tmp_path / "fine", "grid.theta_count=4001",
+                   "grid.nbar_list=2,5")
+    batteries = [None, BatterySpec.coherent(2.0), BatterySpec.coherent(5.0)]
+    for battery, sw in zip(batteries, sweep(fine, batteries)):
+        assert abs(exact[battery.label() if battery else "classical"]
+                   - contrast(sw.p_e)) <= 1e-5, battery
+
+
 def test_sweep_refuses_fixed_squeezing_angle(tmp_path, task_counts):
     # a fixed squeezing angle does not rotate with theta_geo, so the probes'
     # second-harmonic form does not hold for it
@@ -322,7 +357,7 @@ def test_oracle_check_report(tmp_path):
     names = {c["name"] for c in doc["checks"]}
     assert {"sector_decomposition_vs_simulation", "fringe_is_second_harmonic",
             "generator_conserves_coherence_order", "detuning_generator_is_diagonal",
-            "adjoint_matches_forward"} <= names
+            "adjoint_matches_forward", "echo_index_map_matches_kron"} <= names
     for chk in doc["checks"]:
         assert set(chk) == {"name", "defect", "threshold", "passed"}
 
@@ -440,6 +475,21 @@ def test_config_validation_loads_no_scipy(tmp_path):
                          capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout.split() == ["2", "[]"]
     assert "config error" in out.stderr
+
+
+def test_squeeze_bench_loads_no_scipy_linalg(tmp_path):
+    # displaced-squeezed states are built with numpy alone
+    probe = (
+        "import sys, glzi.cli\n"
+        "rc = glzi.cli.main(['squeeze-bench', '--out', sys.argv[1], '--workers', '1',\n"
+        "                    '--set', 'grid.theta_count=4', '--set', 'grid.nbar_list=2',\n"
+        "                    '--set', 'grid.r_list=0.35', '--set', 'grid.q_list=0.5'])\n"
+        "print(rc, sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(glzi.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "out")], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.split()[-2:] == ["0", "[]"]
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",

@@ -20,6 +20,7 @@ from glzi.states import (
     build_squeezed_vacuum,
     build_state,
     compute_cutoff,
+    displacement_matrix,
     vector_stats,
 )
 
@@ -91,6 +92,21 @@ def test_displaced_squeezed_amplitude_variance_and_eta():
     eta = abs(a_mean) ** 2 / mean_n
     assert eta == pytest.approx(1.0 - sh2 / nbar, abs=1e-6)
     assert 1.0 - sh2 / nbar == pytest.approx(0.97448, abs=1e-5)
+
+
+@pytest.mark.parametrize("nbar, r", [(3.0, 0.25), (10.0, 0.5), (15.0, 0.35)])
+def test_displacement_matches_scipy_expm(nbar, r):
+    # numpy's eigh of the Hermitian i K against scipy's expm of K itself
+    from scipy.linalg import expm
+
+    spec = BatterySpec.displaced_squeezed(nbar, r, 0.7)
+    n_cut = compute_cutoff(spec)
+    alpha = math.sqrt(nbar - math.sinh(r) ** 2) * np.exp(-0.7j)
+    a = np.diag(np.sqrt(np.arange(1.0, n_cut)), k=1)
+    want = expm(alpha * a.T - np.conj(alpha) * a)
+    assert np.max(np.abs(displacement_matrix(alpha, n_cut) - want)) <= 1e-12
+    state = want @ build_squeezed_vacuum(r, -1.4, n_cut)  # amplitude alignment
+    assert np.max(np.abs(build_state(spec) - state / np.linalg.norm(state))) <= 1e-12
 
 
 def test_displaced_squeezed_energy_budget():
