@@ -1,5 +1,6 @@
 """Geometric Landau-Zener interferometry powered by a quantized bosonic battery."""
 
+from . import _blas  # noqa: F401  (first: sets the OpenBLAS thread default before numpy loads)
 from .hilbert import (
     BatteryObservables,
     HilbertSpec,

@@ -8,14 +8,23 @@ found by path, without importing scipy, and their thread counts set through
 their own setters (the mechanism of threadpoolctl).  A library or symbol not
 found is skipped and its count reported as None.  Loading scipy's copy here
 is harmless: scipy reuses the loaded library when it is imported later.
+
+Importing this module sets OPENBLAS_NUM_THREADS=1 unless it is already set,
+so that both pools start with one thread when numpy and scipy load after it
+(glzi's __init__ imports it first): no idle pool threads are created at load
+and torn down at exit.  one_thread() and pin() still guard sweeps where numpy
+was loaded earlier or the variable was set to more.
 """
 
 from __future__ import annotations
 
 import ctypes
 import importlib.util
+import os
 from contextlib import contextmanager
 from pathlib import Path
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 # package -> (library file pattern in <package>.libs, symbol suffix)
 _LIBRARIES = {

@@ -3,8 +3,8 @@
     glzi <experiment> [--config FILE] [--set key=value]... [--out DIR]
          [--workers N] [--svg]
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure or a
-crashed worker process.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure, a
+crashed worker process or exhausted memory.
 """
 
 from __future__ import annotations
@@ -50,6 +50,9 @@ def main(argv: list[str] | None = None) -> int:
         written = COMMANDS[args.experiment](cfg)
     except (GlziError, BrokenExecutor, OSError, FloatingPointError) as exc:
         print(f"glzi: {args.experiment} failed: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"glzi: {args.experiment} failed: out of memory ({exc})", file=sys.stderr)
         return 3
     for path in written:
         print(path)

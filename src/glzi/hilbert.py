@@ -96,8 +96,15 @@ def build_operators(spec: HilbertSpec) -> JointOperators:
 
 
 def jc_coupling(ops: JointOperators, g: float) -> np.ndarray:
-    """Exchange Hamiltonian g(a sigma_+ + a^dag sigma_-), in rad/ns."""
-    return g * (ops.a_b @ ops.sigma_plus + ops.a_dag @ ops.sigma_minus)
+    """Exchange Hamiltonian g(a sigma_+ + a^dag sigma_-), in rad/ns.
+
+    The products are sparse: a dense one goes through OpenBLAS, whose idle
+    pool threads make it some 50x slower where no caller has pinned them.
+    """
+    import scipy.sparse as sp  # deferred: importing glzi loads no scipy
+
+    h = g * (sp.csr_matrix(ops.a_b) @ sp.csr_matrix(ops.sigma_plus))
+    return (h + h.conj().T).toarray()
 
 
 def expectation(rho: np.ndarray, op: np.ndarray) -> complex:

@@ -1,16 +1,20 @@
 """Vectorized Lindblad generator L(t) = L0 + delta(t) * L_delta.
 
-Column-stacking convention: vec(A rho B) = (B^T kron A) vec(rho), so the
-commutator part of the generator is -i(I kron H - H^T kron I) and a
-dissipator D[L] becomes
+Column-stacking convention: vec(A rho B) = (B^T kron A) vec(rho).  The
+generator is written
 
-    (conj(L) kron L) - (I kron L^dag L)/2 - ((L^dag L)^T kron I)/2.
+    L rho = K rho + rho K^dag + sum_j r_j J_j rho J_j^dag,
+    K = -i H - (1/2) sum_j r_j J_j^dag J_j,
 
-Superoperators are stored sparse (CSR); at the largest battery occupations
-used here the Liouville dimension reaches ~10^4 and the generator stays far
-below percent fill.  A generator can be restricted to a subset of the vec(rho)
-entries that it never feeds from outside, such as a band of coherence orders
-of a generator that conserves the total excitation.
+and assemble_lindblad builds the rows of the vec(rho) entries kept straight
+from the nonzeros of each row of K and of each J_j, so a band of coherence
+orders costs only its own entries.  The adjoint L^dag X = K^dag X + X K +
+sum_j r_j J_j^dag X J_j has the same form, so the same builder makes it from
+K^dag and J_j^dag.  Generators are stored sparse (CSR).
+
+The kron forms (hamiltonian_super, dissipator_super, kron_lindblad) and
+restrict, which slices a full-space generator, are the reference that the
+oracle and the tests compare the direct bands against.
 """
 
 from __future__ import annotations
@@ -106,7 +110,7 @@ class Liouvillian:
     """Static and detuning-proportional parts of the generator, both sparse.
 
     Both act on the entries kept of vec(rho), rho being dim x dim: all dim^2
-    of them for an assembled generator, a subset after restrict().  l_delta
+    of them by default, a band of coherence orders for the protocol.  l_delta
     is diagonal (assemble_lindblad checks it), so a right-hand side is
     l0 @ y + delta * (l_delta.diagonal() * y).
     """
@@ -127,12 +131,139 @@ def coherence_orders(n_tot: np.ndarray) -> np.ndarray:
     return vectorize(n[:, None] - n[None, :])
 
 
-def restrict(lv: Liouvillian, kept: np.ndarray) -> Liouvillian:
-    """The assembled generator lv acting on the vec(rho) entries kept only.
+def _row_nonzeros(a: sp.csr_matrix, rows: np.ndarray):
+    """The stored entries of a in each of rows: (which, col, value), which indexing rows."""
+    count = np.diff(a.indptr)[rows]
+    which = np.repeat(np.arange(rows.size), count)
+    at = np.arange(which.size) - np.repeat(np.cumsum(count) - count, count) + a.indptr[rows][which]
+    return which, a.indices[at], a.data[at]
 
-    Integrating the kept entries alone is exact only if no kept entry feeds a
-    dropped one; that is checked here, entry by entry, and a violation raises
-    DimensionMismatch.
+
+def _diagonal_csr(d: np.ndarray) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
+    nz = np.flatnonzero(d)
+    return sp.csr_matrix((d[nz], nz, np.searchsorted(nz, np.arange(d.size + 1))),
+                         shape=(d.size, d.size))
+
+
+def assemble_lindblad(h0: np.ndarray, h_delta: np.ndarray,
+                      channels: list[tuple[float, np.ndarray]],
+                      kept: np.ndarray | None = None, *, adjoint: bool = False) -> Liouvillian:
+    """L0 (Hamiltonian h0 plus weighted dissipators) and L_delta on the
+    vec(rho) entries kept (all of them by default); L^dag with adjoint.
+
+    Integrating the kept entries alone is exact only if no kept row reads a
+    dropped entry; that is checked here, and a violation raises
+    DimensionMismatch.  h_delta must be diagonal, so that L_delta is diagonal
+    too and a right-hand side needs one sparse product (see Liouvillian).
+    """
+    import scipy.sparse as sp  # deferred: importing glzi loads no scipy
+
+    dim = h0.shape[0]
+    if np.count_nonzero(h_delta - np.diag(np.diagonal(h_delta))):
+        raise ValueError("h_delta must be diagonal")
+    for rate, _ in channels:
+        if rate < 0:
+            raise InvalidNoise(f"negative dissipation rate {rate}")
+    # sparse products: no BLAS call, so no cost from idle OpenBLAS threads
+    # when a caller has not pinned them (see glzi._blas)
+    jumps = [(rate, sp.csr_matrix(l_op)) for rate, l_op in channels if rate > 0]
+    k_op = -1j * sp.csr_matrix(h0)
+    for rate, l_op in jumps:
+        k_op = k_op - 0.5 * rate * (l_op.conj().T @ l_op)
+    k_delta = -1j * np.diagonal(h_delta)
+    if adjoint:
+        k_op, k_delta = k_op.conj().T, k_delta.conj()
+        jumps = [(rate, l_op.conj().T.tocsr()) for rate, l_op in jumps]
+    k_op = k_op.tocsr()
+    kept = np.arange(dim * dim) if kept is None else np.asarray(kept)
+    r, c = kept % dim, kept // dim
+
+    # (kept row, vec(rho) index read, coefficient) of every term
+    w, m, v = _row_nonzeros(k_op, r)
+    terms = [(w, m + dim * c[w], v)]  # K rho
+    w, m, v = _row_nonzeros(k_op, c)
+    terms.append((w, r[w] + dim * m, v.conj()))  # rho K^dag
+    for rate, l_op in jumps:  # J rho J^dag
+        w, m, v = _row_nonzeros(l_op, r)
+        w2, l, v2 = _row_nonzeros(l_op, c[w])
+        terms.append((w[w2], m[w2] + dim * l, rate * v[w2] * v2.conj()))
+    row, read, coef = (np.concatenate(part) for part in zip(*terms))
+    key, at = np.unique(row * dim ** 2 + read, return_inverse=True)
+    coef = (np.bincount(at, coef.real, key.size)
+            + 1j * np.bincount(at, coef.imag, key.size))
+    pos = np.full(dim * dim, -1)
+    pos[kept] = np.arange(kept.size)
+    nz = coef != 0
+    row, col, coef = key[nz] // dim ** 2, pos[key[nz] % dim ** 2], coef[nz]
+    if np.any(col < 0):
+        raise DimensionMismatch("kept vec(rho) entries read dropped ones")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=kept.size))))
+    l0 = sp.csr_matrix((coef, col, indptr), shape=(kept.size, kept.size))
+    return Liouvillian(dim=dim, l0=l0, l_delta=_diagonal_csr(k_delta[r] + k_delta[c].conj()),
+                       kept=kept)
+
+
+def generator_terms(ops: JointOperators, g: float, noise: NoiseParams):
+    """(h0, h_delta, channels) of the battery-powered interferometer.
+
+    h0 is the exchange coupling, h_delta = sigma_z/2 gets scaled by the
+    detuning waveform, and channels are the four dissipators.
+    """
+    channels = [
+        (noise.gamma1, ops.sigma_minus),
+        (noise.gamma_phi / 2.0, ops.sigma_z),
+        (noise.kappa * (noise.nbar_th + 1.0), ops.a_b),
+        (noise.kappa * noise.nbar_th, ops.a_dag),
+    ]
+    return jc_coupling(ops, g), 0.5 * ops.sigma_z, channels
+
+
+def assemble(ops: JointOperators, g: float, noise: NoiseParams,
+             kept: np.ndarray | None = None, *, adjoint: bool = False) -> Liouvillian:
+    """Joint-space generator (L^dag with adjoint) on the vec(rho) entries kept."""
+    return assemble_lindblad(*generator_terms(ops, g, noise), kept, adjoint=adjoint)
+
+
+def hamiltonian_super(h: np.ndarray) -> sp.csr_matrix:
+    """Superoperator of rho -> -i[H, rho], in kron form (reference)."""
+    import scipy.sparse as sp
+
+    hs = sp.csr_matrix(h)
+    eye = sp.identity(h.shape[0], dtype=complex, format="csr")
+    return (-1j * (sp.kron(eye, hs) - sp.kron(hs.T, eye))).tocsr()
+
+
+def dissipator_super(l_op: np.ndarray) -> sp.csr_matrix:
+    """Superoperator of rho -> L rho L^dag - {L^dag L, rho}/2, in kron form (reference)."""
+    import scipy.sparse as sp
+
+    ls = sp.csr_matrix(l_op)
+    ldl = (ls.conj().T @ ls).tocsr()
+    eye = sp.identity(l_op.shape[0], dtype=complex, format="csr")
+    out = sp.kron(ls.conj(), ls) - 0.5 * sp.kron(eye, ldl) - 0.5 * sp.kron(ldl.T, eye)
+    return out.tocsr()
+
+
+def kron_lindblad(h0: np.ndarray, h_delta: np.ndarray,
+                  channels: list[tuple[float, np.ndarray]]) -> Liouvillian:
+    """The full-space generator of assemble_lindblad, summed from kron forms
+    (reference)."""
+    dim = h0.shape[0]
+    l0 = hamiltonian_super(h0)
+    for rate, l_op in channels:
+        if rate > 0:
+            l0 = l0 + rate * dissipator_super(l_op)
+    return Liouvillian(dim=dim, l0=l0.tocsr(), l_delta=hamiltonian_super(h_delta),
+                       kept=np.arange(dim * dim))
+
+
+def restrict(lv: Liouvillian, kept: np.ndarray) -> Liouvillian:
+    """A full-space generator lv acting on the vec(rho) entries kept only
+    (reference).
+
+    Refuses (DimensionMismatch) a kept entry that feeds a dropped one.
     """
     dropped = np.ones(lv.dim ** 2, dtype=bool)
     dropped[kept] = False
@@ -141,38 +272,3 @@ def restrict(lv: Liouvillian, kept: np.ndarray) -> Liouvillian:
             raise DimensionMismatch("kept vec(rho) entries feed dropped ones")
     return Liouvillian(dim=lv.dim, l0=lv.l0[kept][:, kept], l_delta=lv.l_delta[kept][:, kept],
                        kept=kept)
-
-
-def assemble_lindblad(h0: np.ndarray, h_delta: np.ndarray,
-                      channels: list[tuple[float, np.ndarray]]) -> Liouvillian:
-    """Assemble L0 (Hamiltonian h0 plus weighted dissipators) and L_delta.
-
-    h_delta must be diagonal, so that L_delta is diagonal too and a
-    right-hand side needs one sparse product (see Liouvillian).
-    """
-    dim = h0.shape[0]
-    if np.count_nonzero(h_delta - np.diag(np.diagonal(h_delta))):
-        raise ValueError("h_delta must be diagonal")
-    l0 = hamiltonian_super(h0)
-    for rate, l_op in channels:
-        if rate < 0:
-            raise InvalidNoise(f"negative dissipation rate {rate}")
-        if rate > 0:
-            l0 = l0 + rate * dissipator_super(l_op)
-    return Liouvillian(dim=dim, l0=l0.tocsr(), l_delta=hamiltonian_super(h_delta),
-                       kept=np.arange(dim * dim))
-
-
-def assemble(ops: JointOperators, g: float, noise: NoiseParams) -> Liouvillian:
-    """Joint-space generator for the battery-powered interferometer.
-
-    L0 carries the exchange coupling and all four dissipators; L_delta is the
-    commutator with sigma_z/2 and gets scaled by the detuning waveform.
-    """
-    channels = [
-        (noise.gamma1, ops.sigma_minus),
-        (noise.gamma_phi / 2.0, ops.sigma_z),
-        (noise.kappa * (noise.nbar_th + 1.0), ops.a_b),
-        (noise.kappa * noise.nbar_th, ops.a_dag),
-    ]
-    return assemble_lindblad(jc_coupling(ops, g), 0.5 * ops.sigma_z, channels)

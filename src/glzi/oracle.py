@@ -25,6 +25,8 @@ from .liouvillian import (
     assemble,
     coherence_orders,
     devectorize,
+    generator_terms,
+    kron_lindblad,
     restrict,
     vectorize,
 )
@@ -268,9 +270,10 @@ def oracle_report() -> list[dict]:
     # run_quantum integrates only the coherence orders k = N_row - N_col its
     # outputs read, and sweep's backward pass too: both rest on L0 and
     # L_delta never linking two orders and the echo moving k by 0 or +-2.
-    # nbar_th > 0 switches every dissipator on.
+    # nbar_th > 0 switches every dissipator on.  lv_th is the kron-form
+    # reference generator on all entries.
     noise_th = NoiseParams(gamma1=0.01, gamma_phi=0.002, kappa=1e-4, nbar_th=0.3)
-    lv_th = assemble(ops, g, noise_th)
+    lv_th = kron_lindblad(*generator_terms(ops, g, noise_th))
     orders = coherence_orders(ops.n_tot)
     shift = orders[:, None] - orders[None, :]
     echo_super = np.kron(echo.conj(), echo)
@@ -278,6 +281,15 @@ def oracle_report() -> list[dict]:
                for gen in (lv_th.l0, lv_th.l_delta))
     leak = max(leak, float(np.max(np.abs(echo_super[(shift != 0) & (np.abs(shift) != 2)]))))
     checks.append(_check("generator_conserves_coherence_order", leak, 0.0))
+    # the bands the protocol builds directly, forward for the spot cycle and
+    # adjoint for the pass, against the reference restricted to their entries
+    worst = 0.0
+    for ks, adjoint in (((0, 1, 2, 3), False), ((0, 1), False), ((0, 2), True), ((0,), True)):
+        kept = np.flatnonzero(np.isin(orders, ks))
+        band, ref = assemble(ops, g, noise_th, kept, adjoint=adjoint), restrict(lv_th, kept)
+        for got, want in ((band.l0, ref.l0), (band.l_delta, ref.l_delta)):
+            worst = max(worst, float(abs(got - (want.conj().T if adjoint else want)).max()))
+    checks.append(_check("band_matches_kron_assembly", worst, 1e-15))
     # the echo as the protocol applies it, an index map between the kept
     # entries of two bands, against E rho E^H: from the k in {0, 1, 2, 3} to
     # the k in {0, 1} entries of a Hermitian joint state, and on all 4 entries

@@ -46,7 +46,6 @@ from .liouvillian import (
     coherence_orders,
     devectorize,
     mhz_to_rad_per_ns,
-    restrict,
     vectorize,
 )
 from .odeint import IntegratorConfig, integrate_segment, sanitize
@@ -146,28 +145,24 @@ class RunResult:
 
 
 @lru_cache(maxsize=32)
-def _assembled(n_cut: int, g: float, noise: NoiseParams):
-    ops = build_operators(HilbertSpec(n_cut))
-    return ops, assemble(ops, g, noise)
+def _operators(n_cut: int):
+    return build_operators(HilbertSpec(n_cut))
 
 
 @lru_cache(maxsize=64)
-def _order_band(n_cut: int, g: float, noise: NoiseParams, orders: tuple[int, ...]) -> Liouvillian:
-    """The generator on the vec(rho) entries whose coherence order is in orders."""
-    ops, lv = _assembled(n_cut, g, noise)
-    return restrict(lv, np.flatnonzero(np.isin(coherence_orders(ops.n_tot), orders)))
+def _order_band(n_cut: int, g: float, noise: NoiseParams, orders: tuple[int, ...],
+                adjoint: bool = False) -> Liouvillian:
+    """The generator (L^H with adjoint) on the vec(rho) entries whose
+    coherence order is in orders, built on those entries only."""
+    ops = _operators(n_cut)
+    kept = np.flatnonzero(np.isin(coherence_orders(ops.n_tot), orders))
+    return assemble(ops, g, noise, kept, adjoint=adjoint)
 
 
-@lru_cache(maxsize=64)
 def _adjoint_band(n_cut: int, g: float, noise: NoiseParams, orders: tuple[int, ...]) -> Liouvillian:
     """L^H on the same entries: the order blocks of L^H are those of L,
     since L never links two orders."""
-    return _adjoint(_order_band(n_cut, g, noise, orders))
-
-
-def _adjoint(lv: Liouvillian) -> Liouvillian:
-    return Liouvillian(dim=lv.dim, l0=lv.l0.conj().T.tocsr(),
-                       l_delta=lv.l_delta.conj().T.tocsr(), kept=lv.kept)
+    return _order_band(n_cut, g, noise, orders, adjoint=True)
 
 
 def _position(lv: Liouvillian, i: np.ndarray) -> np.ndarray:
@@ -318,7 +313,7 @@ def run_quantum(
     the k = 0 part, see sector_min_eig.
     """
     n_cut = compute_cutoff(battery)
-    ops, _ = _assembled(n_cut, p.g, noise)
+    ops = _operators(n_cut)
     after = _order_band(n_cut, p.g, noise, (0, 1))
     before = _order_band(n_cut, p.g, noise, (0, 1, 2, 3)) if apply_echo else after
     psi = np.kron(build_state(battery, n_cut), np.array([1.0, 0.0], dtype=complex))
@@ -347,12 +342,14 @@ _NAN = float("nan")
 _GROUND = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 
 
-def _classical_generator(omega: float, phi: float, noise: NoiseParams) -> Liouvillian:
-    qubit = build_operators(HilbertSpec(1))
+def _classical_generator(omega: float, phi: float, noise: NoiseParams,
+                         adjoint: bool = False) -> Liouvillian:
+    qubit = _operators(1)
     h0 = 0.5 * omega * (np.exp(-1j * phi) * qubit.sigma_plus
                         + np.exp(1j * phi) * qubit.sigma_minus)
     return assemble_lindblad(h0, 0.5 * qubit.sigma_z, [(noise.gamma1, qubit.sigma_minus),
-                                                        (noise.gamma_phi / 2.0, qubit.sigma_z)])
+                                                        (noise.gamma_phi / 2.0, qubit.sigma_z)],
+                             adjoint=adjoint)
 
 
 def run_classical(
@@ -431,7 +428,7 @@ def heisenberg_observables(p: ProtocolParams, n_cut: int, noise: NoiseParams = N
     0 or +-2: from the k = 0 observables, k = 0 is integrated after the echo
     and k in {0, 2} before it (X being Hermitian).  theta_geo is not used.
     """
-    ops, _ = _assembled(n_cut, p.g, noise)
+    ops = _operators(n_cut)
     after = _adjoint_band(n_cut, p.g, noise, (0,))
     before = _adjoint_band(n_cut, p.g, noise, (0, 2))
     echo = echo_map(echo_unitary(p.phi_echo).conj().T, after, before)
@@ -473,7 +470,7 @@ def classical_heisenberg(p: ProtocolParams, noise: NoiseParams = NOISELESS,
                          cfg: IntegratorConfig = IntegratorConfig()) -> ClassicalHalves:
     """One forward half-cycle of |g> and one backward half-cycle of Pi_e."""
     lv = _classical_generator(p.omega, 0.0, noise)
-    adj = _adjoint(lv)
+    adj = _classical_generator(p.omega, 0.0, noise, adjoint=True)
     rho = vectorize(_GROUND)
     x = vectorize(np.diag([0.0, 1.0]).astype(complex))
     for t_a, t_b, _ in _segment_plan(p):
@@ -521,7 +518,7 @@ def simulate_constant_detuning(
         if abs(np.linalg.norm(psi_b) - 1.0) > 1e-10:
             raise ValueError("amplitude vector must have unit norm")
         n_cut = psi_b.size
-    ops, lv = _assembled(n_cut, g, noise)
+    lv = assemble(_operators(n_cut), g, noise)
     gen = (lv.l0 + delta * lv.l_delta).tocsr()
 
     def rhs(t, y):

@@ -12,6 +12,7 @@ from glzi.liouvillian import (
     devectorize,
     dissipator_super,
     hamiltonian_super,
+    kron_lindblad,
     mhz_to_rad_per_ns,
     vectorize,
 )
@@ -147,6 +148,25 @@ def test_hamiltonian_super_matches_commutator():
     via_super = devectorize(hamiltonian_super(h) @ vectorize(rho))
     direct = -1j * (h @ rho - rho @ h)
     assert np.max(np.abs(via_super - direct)) < 1e-12
+
+
+def test_direct_builder_matches_kron_forms():
+    # complex operators, so that a conjugate missed anywhere shows
+    rng = np.random.default_rng(17)
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    h0 = cplx(5, 5)
+    h0 = h0 + h0.conj().T
+    h_delta = np.diag(rng.normal(size=5)).astype(complex)
+    channels = [(0.3, cplx(5, 5)), (0.0, cplx(5, 5)), (1.1, np.triu(cplx(5, 5), 1))]
+    ref = kron_lindblad(h0, h_delta, channels)
+    fwd = assemble_lindblad(h0, h_delta, channels)
+    adj = assemble_lindblad(h0, h_delta, channels, adjoint=True)
+    for got, want in ((fwd.l0, ref.l0), (fwd.l_delta, ref.l_delta),
+                      (adj.l0, ref.l0.conj().T), (adj.l_delta, ref.l_delta.conj().T)):
+        assert abs(got - want).max() < 1e-14
 
 
 def test_dissipator_free_generator_conserves_total_excitation():

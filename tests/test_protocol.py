@@ -20,6 +20,8 @@ from glzi.liouvillian import (
     assemble,
     coherence_orders,
     devectorize,
+    generator_terms,
+    kron_lindblad,
     restrict,
     vectorize,
 )
@@ -197,11 +199,12 @@ def test_run_quantum_without_echo_keeps_populations_conserved():
 
 
 def _full_space(p, battery, noise, apply_echo):
-    """run_quantum's cycle on all dim^2 entries of rho, sanitized as a matrix
-    and echoed by the dense E rho E^H; returns the quantities it reports, with
-    the full state's smallest eigenvalue."""
+    """run_quantum's cycle on all dim^2 entries of rho, with the kron-form
+    generator, sanitized as a matrix and echoed by the dense E rho E^H; returns
+    the quantities it reports, with the full state's smallest eigenvalue."""
     n_cut = compute_cutoff(battery)
-    ops, lv = glzi.protocol._assembled(n_cut, p.g, noise)
+    ops = build_operators(HilbertSpec(n_cut))
+    lv = kron_lindblad(*generator_terms(ops, p.g, noise))
     echo = np.kron(np.eye(n_cut), echo_unitary(p.phi_echo))
     psi = np.kron(build_state(battery, n_cut), [1.0, 0.0])
     rho = np.outer(psi, psi.conj())
@@ -299,6 +302,19 @@ def test_restrict_refuses_an_open_index_set():
     assert band.l0.shape == (band.kept.size, band.kept.size)
     with pytest.raises(DimensionMismatch):  # decay feeds the dropped |0,g> population
         restrict(lv, np.flatnonzero(orders == 0)[1:])
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_band_builder_refuses_rows_reading_dropped_entries(adjoint):
+    ops = build_operators(HilbertSpec(4))
+    noise = NoiseParams(gamma1=0.01, kappa=1e-3, nbar_th=0.2)
+    orders = coherence_orders(ops.n_tot)
+    band = assemble(ops, 0.1, noise, np.flatnonzero(orders == 0), adjoint=adjoint)
+    assert band.l0.shape == (band.kept.size, band.kept.size)
+    # thermal gain a^dag (forward) and loss a (adjoint, as a^dag X a) make
+    # the |1,g> population row read the dropped |0,g> one
+    with pytest.raises(DimensionMismatch):
+        assemble(ops, 0.1, noise, np.flatnonzero(orders == 0)[1:], adjoint=adjoint)
 
 
 def test_sector_min_eig_is_the_pinched_spectrum():

@@ -357,7 +357,8 @@ def test_oracle_check_report(tmp_path):
     names = {c["name"] for c in doc["checks"]}
     assert {"sector_decomposition_vs_simulation", "fringe_is_second_harmonic",
             "generator_conserves_coherence_order", "detuning_generator_is_diagonal",
-            "adjoint_matches_forward", "echo_index_map_matches_kron"} <= names
+            "adjoint_matches_forward", "echo_index_map_matches_kron",
+            "band_matches_kron_assembly"} <= names
     for chk in doc["checks"]:
         assert set(chk) == {"name", "defect", "threshold", "passed"}
 
@@ -396,6 +397,40 @@ def test_oracle_check_catches_forward_generator_in_backward_pass(monkeypatch):
     assert not bad["passed"]
     assert bad["defect"] > 1e-3
     assert report["fringe_is_second_harmonic"]["passed"]
+
+
+def test_oracle_check_catches_an_undaggered_jump_in_an_adjoint_band(monkeypatch):
+    # J X J^H where L^H has J^H X J: the jump terms alone are the forward
+    # minus the adjoint generator at zero coupling
+    real = glzi.oracle.assemble
+
+    def broken(ops, g, noise, kept=None, *, adjoint=False):
+        lv = real(ops, g, noise, kept, adjoint=adjoint)
+        if not adjoint:
+            return lv
+        swap = real(ops, 0.0, noise, kept).l0 - real(ops, 0.0, noise, kept, adjoint=True).l0
+        return dataclasses.replace(lv, l0=(lv.l0 + swap).tocsr())
+
+    monkeypatch.setattr(glzi.oracle, "assemble", broken)
+    report = {c["name"]: c for c in oracle_report()}
+    bad = report["band_matches_kron_assembly"]
+    assert not bad["passed"]
+    assert bad["defect"] > 1e-5
+    assert report["generator_conserves_coherence_order"]["passed"]
+
+
+def test_memory_error_exits_3(tmp_path, monkeypatch, capsys):
+    # a grid too large to allocate, e.g. grid.theta_count=100000000000
+    def exhausted(cfg):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr(glzi.scan, "theta_grid", exhausted)
+    rc = main(["fringe", "--out", str(tmp_path / "out"), "--workers", "1",
+               "--set", "grid.nbar_list=1"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "out of memory" in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_exit_codes(tmp_path, capsys):
