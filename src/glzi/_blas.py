@@ -22,6 +22,7 @@ import ctypes
 import importlib.util
 import os
 from contextlib import contextmanager
+from functools import lru_cache
 from pathlib import Path
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -33,6 +34,7 @@ _LIBRARIES = {
 }
 
 
+@lru_cache(maxsize=None)  # the search is two thirds of a _pools() call
 def _find(package: str, pattern: str) -> Path | None:
     spec = importlib.util.find_spec(package)  # a top-level lookup imports nothing
     if spec is None or not spec.submodule_search_locations:

@@ -85,26 +85,6 @@ def devectorize(v: np.ndarray) -> np.ndarray:
     return v.reshape((d, d), order="F").copy()
 
 
-def hamiltonian_super(h: np.ndarray) -> sp.csr_matrix:
-    """Superoperator of rho -> -i[H, rho]."""
-    import scipy.sparse as sp  # deferred: importing glzi loads no scipy
-
-    hs = sp.csr_matrix(h)
-    eye = sp.identity(h.shape[0], dtype=complex, format="csr")
-    return (-1j * (sp.kron(eye, hs) - sp.kron(hs.T, eye))).tocsr()
-
-
-def dissipator_super(l_op: np.ndarray) -> sp.csr_matrix:
-    """Superoperator of rho -> L rho L^dag - {L^dag L, rho}/2."""
-    import scipy.sparse as sp
-
-    ls = sp.csr_matrix(l_op)
-    ldl = (ls.conj().T @ ls).tocsr()
-    eye = sp.identity(l_op.shape[0], dtype=complex, format="csr")
-    out = sp.kron(ls.conj(), ls) - 0.5 * sp.kron(eye, ldl) - 0.5 * sp.kron(ldl.T, eye)
-    return out.tocsr()
-
-
 @dataclass(frozen=True, eq=False)
 class Liouvillian:
     """Static and detuning-proportional parts of the generator, both sparse.
@@ -228,7 +208,7 @@ def assemble(ops: JointOperators, g: float, noise: NoiseParams,
 
 def hamiltonian_super(h: np.ndarray) -> sp.csr_matrix:
     """Superoperator of rho -> -i[H, rho], in kron form (reference)."""
-    import scipy.sparse as sp
+    import scipy.sparse as sp  # deferred: importing glzi loads no scipy
 
     hs = sp.csr_matrix(h)
     eye = sp.identity(h.shape[0], dtype=complex, format="csr")

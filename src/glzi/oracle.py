@@ -35,6 +35,7 @@ from .protocol import (
     ProtocolParams,
     echo_map,
     echo_unitary,
+    fringe_at,
     heisenberg_observables,
     run_quantum,
     simulate_constant_detuning,
@@ -395,8 +396,8 @@ def oracle_report() -> list[dict]:
     p = ProtocolParams(theta_geo=float(rng.uniform(0.0, math.pi)), nbar=2.0, phi_echo=0.4)
     fwd = run_quantum(p, battery.with_phase(p.phi_batt), noise_th,
                       IntegratorConfig(rtol=1e-11, atol=1e-13))
-    adj = heisenberg_observables(p, compute_cutoff(battery), noise_th).expectations(
-        battery.with_phase(0.0), np.array([p.phi_batt]))[0]
+    heis = heisenberg_observables(p, compute_cutoff(battery), noise_th)
+    adj = fringe_at(*heis.harmonics(heis.initial(battery.with_phase(0.0))), [p.phi_batt])[0]
     checks.append(_check("adjoint_matches_forward",
                          max(abs(adj[0] - fwd.p_e), abs(adj[1] - fwd.mean_n_final)), 1e-7))
     return checks

@@ -14,7 +14,8 @@ at once: Tr(O Phi(rho0)) = Tr(Phi^dagger(O) rho0), so one backward
 integration of the observables serves every battery of one generator and
 every battery phase (heisenberg_observables), and one forward and one
 backward half-cycle serve every drive phase of the classical reference
-(classical_heisenberg).
+(classical_heisenberg).  A pass gives each fringe as its two harmonics A0
+and S2 in the battery phase, and fringe_at evaluates them on a phase grid.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _blas
 from .errors import OutOfWindow
 from .hilbert import (
     HilbertSpec,
@@ -288,6 +290,7 @@ def _evolve_protocol(
     return y, trace_defect, log
 
 
+@_blas.one_thread()
 def run_quantum(
     p: ProtocolParams,
     battery: BatterySpec,
@@ -352,6 +355,7 @@ def _classical_generator(omega: float, phi: float, noise: NoiseParams,
                              adjoint=adjoint)
 
 
+@_blas.one_thread()
 def run_classical(
     p: ProtocolParams,
     noise: NoiseParams = NOISELESS,
@@ -386,6 +390,17 @@ def run_classical(
     )
 
 
+def fringe_at(a0: np.ndarray, s2: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """A0 + 2 Re(e^{-2i phi} S2) at each battery phase phi, shape (len(phis),
+    *a0.shape): the fringe of each observable whose harmonics a0 and s2 hold.
+
+    A locked-phase fringe is a second harmonic in phi, since the initial
+    state's entries of coherence order k pick up e^{-i k phi} and only k = 0
+    and +-2 reach the outputs; 4 |S2| of P_e is its exact contrast.
+    """
+    return np.real(a0 + np.multiply.outer(2.0 * np.exp(-2j * np.asarray(phis)), s2))
+
+
 @dataclass(frozen=True)
 class HeisenbergObservables:
     """Phi^dagger(Pi_e) and Phi^dagger(n_b) of one echo cycle, at t = 0.
@@ -400,24 +415,28 @@ class HeisenbergObservables:
     second: np.ndarray
     x: np.ndarray
 
-    def expectations(self, battery: BatterySpec, phis: np.ndarray) -> np.ndarray:
-        """(len(phis), 2) array of P_e and <n>_final from rho0(phi) for each phi.
-
-        rho0(0) = |psi_B><psi_B| (x) |g><g| is built from battery as given, at
-        its own cutoff and zero-padded, and rho0(phi) = e^{-i phi N} rho0(0)
-        e^{i phi N}: each entry of order k picks up e^{-i k phi}.  That is a
-        change of battery phase by phi for every battery that sweep accepts.
-        Tr(X rho) = vec(X)^H vec(rho) = A0 + 2 Re(e^{-2i phi} S2) over the
-        order 0 and 2 entries, order -2 giving the conjugate of S2.
-        """
+    def initial(self, battery: BatterySpec) -> np.ndarray:
+        """The kept entries of rho0 = |psi_B><psi_B| (x) |g><g|, psi_B built
+        from battery as given, at its own cutoff and zero-padded.  Passes of
+        one battery size share n_cut and kept, so one build serves them all."""
         psi_b, d = build_state(battery), 2 * self.n_cut
         psi = np.zeros(d, dtype=complex)
         psi[:2 * psi_b.size:2] = psi_b  # |psi_B> (x) |g>, zero-padded
-        terms = self.x.conj() * (psi[self.kept % d] * psi[self.kept // d].conj())[:, None]
-        a0, s2 = terms[~self.second].sum(axis=0), terms[self.second].sum(axis=0)
-        return np.real(a0 + 2.0 * np.exp(-2j * np.asarray(phis))[:, None] * s2)
+        return psi[self.kept % d] * psi[self.kept // d].conj()
+
+    def harmonics(self, rho0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(A0, S2) of [P_e, <n>_final] in the phase phi of rho0 (see initial).
+
+        rho0(phi) = e^{-i phi N} rho0 e^{i phi N} changes the battery phase by
+        phi for every battery that sweep accepts, and Tr(X rho0(phi)) =
+        vec(X)^H vec(rho0(phi)) = A0 + 2 Re(e^{-2i phi} S2) over the order 0
+        and 2 entries, order -2 giving the conjugate of S2 (see fringe_at).
+        """
+        terms = self.x.conj() * rho0[:, None]
+        return terms[~self.second].sum(axis=0), terms[self.second].sum(axis=0)
 
 
+@_blas.one_thread()
 def heisenberg_observables(p: ProtocolParams, n_cut: int, noise: NoiseParams = NOISELESS,
                            cfg: IntegratorConfig = IntegratorConfig()) -> HeisenbergObservables:
     """One backward integration of [Pi_e, n_b] through the echo cycle p.
@@ -442,33 +461,20 @@ def heisenberg_observables(p: ProtocolParams, n_cut: int, noise: NoiseParams = N
     return HeisenbergObservables(n_cut=n_cut, kept=before.kept, second=second, x=x)
 
 
-@dataclass(frozen=True)
-class ClassicalHalves:
-    """The classical reference's cycle at drive phase 0, split at the echo:
-    rho(tau_c/2) from |g>, and Phi_after^dagger(Pi_e) at tau_c/2."""
-
-    rho_mid: np.ndarray
-    x_mid: np.ndarray
-    phi_echo: float
-
-    def expectations(self, battery: None, phis: np.ndarray) -> np.ndarray:
-        """(len(phis), 2) array of P_e and NaN at drive phases phis.
-
-        battery is None: the reference has none, and the call matches
-        HeisenbergObservables.expectations so that sweep treats both alike.
-        With R = e^{-i phi sigma_z/2}, the drive at phase phi is R H(0)
-        R^dagger and the echo at phi_echo is R U(phi_echo - phi) R^dagger,
-        while |g>, Pi_e and both qubit dissipators are R-invariant: so
-        P_e(phi, phi_echo) = P_e(0, phi_echo - phi).
-        """
-        p_e = [np.real(np.vdot(self.x_mid, u @ self.rho_mid @ u.conj().T))
-               for u in (echo_unitary(self.phi_echo - phi) for phi in phis)]
-        return np.column_stack([p_e, np.full(len(p_e), np.nan)])
-
-
+@_blas.one_thread()
 def classical_heisenberg(p: ProtocolParams, noise: NoiseParams = NOISELESS,
-                         cfg: IntegratorConfig = IntegratorConfig()) -> ClassicalHalves:
-    """One forward half-cycle of |g> and one backward half-cycle of Pi_e."""
+                         cfg: IntegratorConfig = IntegratorConfig()
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """(A0, S2) of [P_e, NaN] of the classical reference, from one forward
+    half-cycle of |g> and one backward half-cycle of Pi_e at drive phase 0.
+
+    With R = e^{-i phi sigma_z/2}, the drive at phase phi is R H(0) R^dagger
+    and the echo at phi_echo is R U(phi_echo - phi) R^dagger, while |g>, Pi_e
+    and both qubit dissipators are R-invariant: so P_e(phi, phi_echo) =
+    Tr(X U(psi) rho U(psi)^dagger), psi = phi_echo - phi, for rho = rho(tau_c/2)
+    and X = Phi_after^dagger(Pi_e) at drive phase 0.  U(psi) swaps |g> and |e>
+    and multiplies rho_eg by e^{2i psi}, which gives A0 and S2 in closed form.
+    """
     lv = _classical_generator(p.omega, 0.0, noise)
     adj = _classical_generator(p.omega, 0.0, noise, adjoint=True)
     rho = vectorize(_GROUND)
@@ -479,7 +485,10 @@ def classical_heisenberg(p: ProtocolParams, noise: NoiseParams = NOISELESS,
     for t_a, t_b, _ in reversed(_segment_plan(p)):
         if t_b > p.tau_c / 2.0 + _TIME_TOL:
             x = _propagate(x, adj, p, t_a, t_b, cfg, backward=True)
-    return ClassicalHalves(devectorize(rho), devectorize(x), p.phi_echo)
+    rho, x = devectorize(rho), devectorize(x).conj()
+    a0 = x[0, 0] * rho[1, 1] + x[1, 1] * rho[0, 0]
+    s2 = x[0, 1] * rho[1, 0] * np.exp(2j * p.phi_echo)
+    return np.array([a0, _NAN]), np.array([s2, _NAN])
 
 
 @dataclass(frozen=True)

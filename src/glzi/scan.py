@@ -34,6 +34,7 @@ from .protocol import (
     ProtocolParams,
     RunResult,
     classical_heisenberg,
+    fringe_at,
     heisenberg_observables,
     run_classical,
     run_quantum,
@@ -308,7 +309,6 @@ def run_tasks(tasks: list[Task], workers: int) -> list:
 
 
 SPOT_TOL = 1e-6  # largest |closed form - spot cycle| on P_e and Delta n
-_PROBES = np.arange(3) * math.pi / 3.0  # three phases that fix a second harmonic
 
 
 @dataclass(frozen=True)
@@ -341,15 +341,16 @@ def sweep(cfg: ScanConfig, batteries: Sequence[BatterySpec | None],
     Battery phases are locked to phi = theta_geo - pi/2; None is the classical
     reference.  Per tau_p, one Heisenberg-picture pass serves every battery
     of one size (g = Omega / 2 sqrt(nbar) fixes the generator; the pass runs
-    at their largest Fock cutoff) at every phi in closed form, see
-    HeisenbergObservables; ClassicalHalves does the same for the reference.
-    A fixed squeezing angle (alignment "angle") does not rotate with phi and
-    is refused before any cycle runs.  One forward spot cycle per battery, at
-    theta_0 and the first tau_p, must match the closed form to SPOT_TOL on
-    P_e and Delta n, or SpotCheckFailed is raised.  P_e(phi) = A0 + B cos 2phi
-    + C sin 2phi, so its exact contrast 2 sqrt(B^2 + C^2) follows from the
-    closed form at _PROBES.  Every OpenBLAS pool is pinned to one thread
-    meanwhile.
+    at their largest Fock cutoff): each battery's phase-0 state is built
+    once and contracted with its size's passes into the harmonics A0 and S2
+    of P_e and <n>_final per tau_p, see HeisenbergObservables, and
+    classical_heisenberg gives those of the reference directly.  fringe_at
+    evaluates every fringe on the phi grid, and 4 |S2| of P_e is its exact
+    contrast.  A fixed squeezing angle (alignment "angle") does not rotate
+    with phi and is refused before any cycle runs.  One forward spot cycle
+    per battery, at theta_0 and the first tau_p, must match the closed form
+    to SPOT_TOL on P_e and Delta n, or SpotCheckFailed is raised.  Every
+    OpenBLAS pool is pinned to one thread meanwhile.
     """
     if any(b is not None and b.alignment == ALIGN_ANGLE for b in batteries):
         raise ValueError("a battery with a fixed squeezing angle (alignment 'angle') "
@@ -374,11 +375,14 @@ def sweep(cfg: ScanConfig, batteries: Sequence[BatterySpec | None],
         out = []
         for battery, spot in zip(batteries, done[len(groups) * len(taus):]):
             runs, initial = passes[battery and battery.nbar], spot[1]
-            both = np.stack([r.expectations(battery and battery.with_phase(0.0),
-                                            np.concatenate([phis, _PROBES]))
-                             for _, r, _ in runs], axis=1)  # phi x tau_p x (P_e, <n>)
-            probes, both = both[len(phis):, :, 0], both[:len(phis)]
-            contrast_exact = 4.0 / 3.0 * np.abs(np.exp(2j * _PROBES) @ probes)
+            if battery is None:
+                harmonics = [r for _, r, _ in runs]
+            else:
+                rho0 = runs[0][1].initial(battery.with_phase(0.0))
+                harmonics = [r.harmonics(rho0) for _, r, _ in runs]
+            a0, s2 = np.stack(harmonics, axis=1)  # tau_p x (P_e, <n>) each
+            both = fringe_at(a0, s2, phis)  # phi x tau_p x (P_e, <n>)
+            contrast_exact = 4.0 * np.abs(s2[:, 0])
             p_e, delta_n = both[..., 0], initial.mean_n_initial - both[..., 1]
             miss = np.abs([p_e[0, 0] - initial.p_e,
                            delta_n[0, 0] - initial.delta_n])[:1 if battery is None else 2]

@@ -31,6 +31,7 @@ from glzi.protocol import (
     detuning,
     classical_heisenberg,
     echo_unitary,
+    fringe_at,
     heisenberg_observables,
     run_classical,
     run_quantum,
@@ -397,7 +398,8 @@ def test_heisenberg_pass_matches_tight_forward_cycles(battery, reference_noise):
     heis = heisenberg_observables(p, compute_cutoff(BatterySpec.displaced_squeezed(2.0, 0.5)),
                                   reference_noise)
     thetas = (0.0, 0.7, 2.3)
-    got = heis.expectations(battery.with_phase(0.0), np.array(thetas) - math.pi / 2.0)
+    got = fringe_at(*heis.harmonics(heis.initial(battery.with_phase(0.0))),
+                    np.array(thetas) - math.pi / 2.0)
     for theta, (p_e, n_final) in zip(thetas, got):
         q = dataclasses.replace(p, theta_geo=theta)
         fwd = run_quantum(q, battery.with_phase(q.phi_batt), reference_noise, TIGHT)
@@ -410,7 +412,7 @@ def test_heisenberg_pass_serves_a_fixed_squeezing_angle(reference_noise):
     battery = BatterySpec.displaced_squeezed(2.0, 0.35, alignment="angle",
                                              theta_s=0.3).with_phase(p.phi_batt)
     heis = heisenberg_observables(p, compute_cutoff(battery), reference_noise)
-    (p_e, n_final), = heis.expectations(battery, np.zeros(1))
+    (p_e, n_final), = fringe_at(*heis.harmonics(heis.initial(battery)), np.zeros(1))
     fwd = run_quantum(p, battery, reference_noise, TIGHT)
     assert abs(p_e - fwd.p_e) <= 1e-7 and abs(n_final - fwd.mean_n_final) <= 1e-7
 
@@ -418,8 +420,7 @@ def test_heisenberg_pass_serves_a_fixed_squeezing_angle(reference_noise):
 def test_classical_half_cycles_match_forward_cycles(reference_noise):
     p = ProtocolParams(phi_echo=0.4)
     thetas = (0.0, 0.7, 2.3)
-    got = classical_heisenberg(p, reference_noise).expectations(
-        None, np.array(thetas) - math.pi / 2.0)
+    got = fringe_at(*classical_heisenberg(p, reference_noise), np.array(thetas) - math.pi / 2.0)
     for theta, (p_e, no_battery) in zip(thetas, got):
         assert math.isnan(no_battery)
         fwd = run_classical(dataclasses.replace(p, theta_geo=theta), reference_noise, TIGHT)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy.linalg
 
@@ -34,8 +35,14 @@ from glzi.scan import (
     tau_p_grid,
     theta_grid,
 )
-from glzi.protocol import echo_unitary, run_classical, run_quantum
-from glzi.states import BatterySpec
+from glzi.protocol import (
+    classical_heisenberg,
+    echo_unitary,
+    heisenberg_observables,
+    run_classical,
+    run_quantum,
+)
+from glzi.states import BatterySpec, compute_cutoff
 
 FAST = ["--set", "grid.theta_count=5", "--workers", "1"]
 
@@ -337,8 +344,51 @@ def test_sidecar_trust_block(tmp_path):
                    - contrast(sw.p_e)) <= 1e-5, battery
 
 
+def test_contrast_exact_is_the_swing_between_tight_cycles(tmp_path):
+    # P_e(phi) = A0 + 2 |S2| cos(2 phi - arg S2) peaks at phi* = arg(S2) / 2
+    # and bottoms out at phi* + pi/2: tight forward cycles there must differ
+    # by the sidecar's exact contrast.  The sweep integrates tightly too: at
+    # the default tolerance the classical pass alone is off by about 1.5e-7
+    cfg = cfg_for("fringe", tmp_path, "grid.theta_count=4", "grid.nbar_list=2",
+                  "integrator.rtol=1e-10", "integrator.atol=1e-12")
+    batteries = [BatterySpec.coherent(2.0), BatterySpec.displaced_squeezed(2.0, 0.35), None]
+    exact = glzi.scan._contrast_exact(batteries, sweep(cfg, batteries))["contrast_exact"]
+    noise, tight = noise_from(cfg), IntegratorConfig(rtol=1e-11, atol=1e-13)
+    for battery in batteries:
+        nbar = battery and battery.nbar
+        p = protocol_for(cfg, nbar=nbar)
+        if battery is None:
+            s2 = classical_heisenberg(p, noise)[1][0]
+        else:
+            heis = heisenberg_observables(p, compute_cutoff(battery), noise)
+            s2 = heis.harmonics(heis.initial(battery.with_phase(0.0)))[1][0]
+        p_e = []
+        for phi in np.angle(s2) / 2.0 + np.array([0.0, math.pi / 2.0]):
+            q = protocol_for(cfg, phi + math.pi / 2.0, nbar=nbar)
+            p_e.append(run_classical(q, noise, tight).p_e if battery is None else
+                       run_quantum(q, battery.with_phase(q.phi_batt), noise, tight).p_e)
+        label = battery.label() if battery else "classical"
+        assert abs(p_e[0] - p_e[1] - exact[label]) <= 1e-7, label
+
+
+def test_each_battery_state_is_built_twice(tmp_path, monkeypatch):
+    # once for its spot cycle and once for the contraction with every tau_p's
+    # pass of its size, however many tau_p the heatmap has
+    built = []
+    build = glzi.protocol.build_state
+
+    def counting(battery, *args, **kwargs):
+        built.append(battery.nbar)
+        return build(battery, *args, **kwargs)
+
+    monkeypatch.setattr(glzi.protocol, "build_state", counting)
+    cmd_heatmap(cfg_for("heatmap", tmp_path, "grid.theta_count=4", "grid.tau_p_count=3",
+                        "grid.nbar_list=1,2"))
+    assert sorted(built) == [1.0, 1.0, 2.0, 2.0]
+
+
 def test_sweep_refuses_fixed_squeezing_angle(tmp_path, task_counts):
-    # a fixed squeezing angle does not rotate with theta_geo, so the probes'
+    # a fixed squeezing angle does not rotate with theta_geo, so the passes'
     # second-harmonic form does not hold for it
     cfg = cfg_for("fringe", tmp_path / "out", "grid.theta_count=5", "grid.nbar_list=2")
     angle = BatterySpec.displaced_squeezed(2.0, 0.35, alignment="angle", theta_s=0.3)
